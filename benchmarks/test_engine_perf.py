@@ -12,8 +12,8 @@ A, all seven systems) through the engine builds:
                     with the numpy batch path;
 * ``batched``     — the default since ISSUE 7: rate-change epochs with
                     out-of-heap completion/gap pseudo-events, fused
-                    advance+sweep ticks, and a process-wide L2 rate
-                    memo keyed on portable value signatures;
+                    advance+sweep ticks, and memo misses on solo and
+                    pair running sets rated in closed form;
 * ``jit``         — ``batched`` plus the numba rebalance kernel when
                     numba is installed (silently interpreted when not).
 

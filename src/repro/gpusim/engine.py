@@ -32,11 +32,12 @@ the engine keeps structural fast paths:
 * **rebalance gating + memoization** — rates are a pure function of the
   *membership* of the running set (specs + contexts), so a rebalance is
   skipped outright when membership did not change, and the allocation →
-  slowdown → rate pipeline is memoized per membership signature (an
-  engine-local LRU, backed in batched mode by a process-wide table
-  keyed on portable value signatures, so serve N+1 reuses serve N's
-  rates).  The original per-kernel path is kept behind
-  ``mode="scalar"`` as the byte-for-byte equivalence reference;
+  slowdown → rate pipeline is memoized per membership signature in an
+  engine-local LRU.  A memo miss on a solo kernel or on a pair in
+  distinct contexts at one priority — nearly every miss — is rated in
+  closed form, one straight pass in the reference operation order.
+  The original per-kernel path is kept behind ``mode="scalar"`` as the
+  byte-for-byte equivalence reference;
 * **rate-change epochs** (``mode="batched"``, the default) — between
   two rate-changing events (arrival, completion, squad switch, fault)
   every running kernel advances at a constant rate, so the engine keeps
@@ -44,7 +45,7 @@ the engine keeps structural fast paths:
   compared against the heap top instead of heap entries that are
   cancelled and re-pushed on every rebalance.  Remaining-work/ETA
   updates collapse into one batched step per epoch — a numpy structured
-  array (``kernel, context, remaining, rate, eta``) once the running
+  array (``remaining, rate, eta``) once the running
   set is wide enough, a fused scalar loop below that — with arithmetic
   identical to the event-per-kernel modes;
 * **optional jit rebalance kernel** (``mode="jit"``) — the epoch engine
@@ -72,9 +73,9 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .device import GPUDevice
-from .hwsched import HardwareScheduler
+from .hwsched import CAPACITY_EPS, SATISFIED_EPS, HardwareScheduler, _waterfill_small
 from .interference import InterferenceModel
-from .kernel import KernelInstance, KernelKind
+from .kernel import KernelInstance, KernelKind, KernelSpec
 from .pcie import PCIeChannel
 from .stream import DeviceQueue
 from .context import GPUContext
@@ -116,24 +117,32 @@ _EPOCH_VECTOR_MIN = 8
 # rate, so one record per kernel fully describes the epoch.
 EPOCH_DTYPE = np.dtype(
     [
-        ("kernel", np.int64),     # kernel uid
-        ("context", np.int64),    # owning context id
         ("remaining", np.float64),
         ("rate", np.float64),
         ("eta", np.float64),
     ]
 )
 
-# Process-wide rebalance memo for the batched/jit engines: engines are
-# created per serve, so their signature-keyed L1 memos die with them
-# while the signature *space* (which app layers co-run) repeats across
-# the serves of a sweep.  Keyed on portable value signatures — context
-# slot/limit/priority/restriction plus the spec fields the pipeline
-# reads — so serve N+1 starts warm.  Values are immutable result
-# tuples computed by the exact same arithmetic, so sharing cannot
-# change results; the table is swept wholesale if it ever fills.
-_RATES_L2_SIZE = 65536
-_rates_l2: Dict[tuple, tuple] = {}
+def _closed_form_rate(
+    spec: KernelSpec, grant: float, total_intensity: float, kappa: float,
+    model: InterferenceModel,
+) -> float:
+    """``spec.rate_at(grant) / slowdown`` of one granted kernel, with the
+    slowdown of ``InterferenceModel.slowdowns`` — same operations, same
+    order (``min``/``max`` as conditionals that pick identically)."""
+    m = spec.mem_intensity
+    pressure = total_intensity - m
+    pressure = pressure if pressure > 0.0 else 0.0
+    pressure = pressure if pressure < 1.0 else 1.0
+    slowdown = 1.0 + kappa * (pressure ** model.gamma) * (m if m < 1.0 else 1.0)
+    max_slowdown = model.max_slowdown
+    slowdown = slowdown if slowdown < max_slowdown else max_slowdown
+    demand = spec.sm_demand
+    serial = spec.serial_fraction
+    base = spec.base_duration_us
+    usable = demand if demand < grant else grant
+    duration = base * (serial + (1.0 - serial) * (demand / usable))
+    return base / duration / slowdown
 
 
 def _load_jit_kernel():
@@ -252,10 +261,6 @@ class SimEngine:
             if self._jit_kernel is not None
             else self._compute_rates_vectorized
         )
-        # Namespace of the process-wide rate memo: jit-computed entries
-        # never mix with interpreter-computed ones, so the 5-way
-        # equivalence tests exercise the compiled kernel for real.
-        self._l2_family = "jit" if self._jit_kernel is not None else "std"
         self.pcie = PCIeChannel()
         self.now = 0.0
         self._heap: List[Tuple[float, int, _Event]] = []
@@ -302,10 +307,6 @@ class SimEngine:
         self._gap_min_qid = -1
         # Reusable structured-array epoch state (allocated on demand).
         self._epoch_arr: Optional[np.ndarray] = None
-        # packed (context, spec-token) int -> portable signature tail;
-        # safe to memoise because contexts never mutate their limit or
-        # priority in place and specs are frozen.
-        self._portable_tails: Dict[int, tuple] = {}
         self._finish_subscribers: List[Callable[[KernelInstance], None]] = []
         self._failure_subscribers: List[Callable[[KernelInstance], None]] = []
         self._per_kernel_callbacks: Dict[int, Callable[[KernelInstance], None]] = {}
@@ -344,7 +345,6 @@ class SimEngine:
         self._rebalances = 0
         self._rebalances_skipped = 0
         self._rebalance_cache_hits = 0
-        self._rebalance_l2_hits = 0
         self._heap_compactions = 0
         self._peak_heap_size = 0
         self._gap_events_superseded = 0
@@ -849,17 +849,6 @@ class SimEngine:
             kernel.current_sm_fraction = 0.0
 
     # -- vectorized + memoized path ------------------------------------
-    def _membership_signature(self) -> tuple:
-        """Key of the running set's rate-relevant state.
-
-        Maintained incrementally in ``_sig_parts``: per running kernel
-        its ``context_id`` and spec token packed into one int.  The
-        engine (and so the cache) lives for one serve, contexts are
-        immutable, and specs frozen — the pair pins down every quantity
-        the allocation/interference pipeline reads, including ordering.
-        """
-        return tuple(self._sig_parts)
-
     def _compute_rates_vectorized(
         self,
     ) -> Tuple[Tuple[float, ...], Tuple[float, ...], float]:
@@ -870,7 +859,9 @@ class SimEngine:
         (its arithmetic is inherently sequential), while the
         interference slowdowns and SM-scaling rates — the per-kernel
         arithmetic — are evaluated as numpy element-wise kernels.
-        Returns per-kernel SM fractions and rates aligned with
+        Solo and same-level distinct-context pairs take
+        :meth:`_rates_closed_form` first.  Returns per-kernel SM
+        fractions and rates aligned with
         ``_running_compute``, plus the busy fraction.
         """
         running = self._running_compute
@@ -878,6 +869,14 @@ class SimEngine:
         n = len(running)
         if n == 0:
             return (), (), 0.0
+        if n == 1 or (
+            n == 2
+            and contexts[0].priority == contexts[1].priority
+            and contexts[0].context_id != contexts[1].context_id
+        ):
+            closed = self._rates_closed_form(running, contexts)
+            if closed is not None:
+                return closed
 
         # SM allocation as (running-index, grant) pairs in the hardware
         # scheduler's allocation order (priority level desc, then
@@ -958,6 +957,63 @@ class SimEngine:
 
         return tuple(fractions), tuple(rates), min(1.0, busy)
 
+    def _rates_closed_form(
+        self,
+        running: List[KernelInstance],
+        contexts: List[GPUContext],
+    ) -> Optional[Tuple[Tuple[float, ...], Tuple[float, ...], float]]:
+        """Rates of a solo kernel, or of two kernels in distinct contexts
+        at one priority level, in one pass (None if a kernel is starved).
+
+        With one kernel per context and a single level, the fair
+        allocation reduces to each context's want (its kernel's demand
+        clamped by the context limit) water-filled over the whole GPU.
+        Every IEEE operation runs in the order of
+        ``HardwareScheduler.allocate`` → ``InterferenceModel.slowdowns``
+        → ``KernelSpec.rate_at``: grants keep the ``want * (fill /
+        want)`` normalisation, ``busy`` and the total intensity sum left
+        to right from 0.0, and ``pressure ** gamma`` stays a float
+        power — so the results match the general path bit for bit.
+        """
+        model = self.interference
+        spec0 = running[0].spec
+        cap = contexts[0].sm_limit
+        demand = spec0.sm_demand
+        w0 = (demand if demand <= cap + SATISFIED_EPS else cap) if cap > CAPACITY_EPS else 0.0
+        if len(running) == 1:
+            # Pass 2: the lone want water-filled over the whole GPU.
+            f0 = w0 if w0 <= 1.0 + SATISFIED_EPS else 1.0
+            g0 = w0 * (f0 / w0) if w0 > 0 else 0.0
+            if not g0 > 0:
+                return None
+            busy = 0.0 + g0
+            rate = _closed_form_rate(
+                spec0, g0, 0.0 + spec0.mem_intensity, model.kappa_restricted, model
+            )
+            return (g0,), (rate,), busy if busy < 1.0 else 1.0
+        spec1 = running[1].spec
+        cap = contexts[1].sm_limit
+        demand = spec1.sm_demand
+        w1 = (demand if demand <= cap + SATISFIED_EPS else cap) if cap > CAPACITY_EPS else 0.0
+        f0, f1 = _waterfill_small((w0, w1), 1.0)
+        g0 = w0 * (f0 / w0) if w0 > 0 else 0.0
+        g1 = w1 * (f1 / w1) if w1 > 0 else 0.0
+        if not (g0 > 0 and g1 > 0):
+            return None
+        busy = 0.0 + g0 + g1
+        total = 0.0 + spec0.mem_intensity + spec1.mem_intensity
+        # Two scattered kernels couple at the unrestricted rate; a
+        # partition pin on either drops both to the restricted one.
+        if contexts[0].restricted or contexts[1].restricted:
+            kappa = model.kappa_restricted
+        else:
+            kappa = model.kappa_unrestricted
+        rates = (
+            _closed_form_rate(spec0, g0, total, kappa, model),
+            _closed_form_rate(spec1, g1, total, kappa, model),
+        )
+        return (g0, g1), rates, busy if busy < 1.0 else 1.0
+
     # -- jit (numba) path ----------------------------------------------
     def _compute_rates_jit(
         self,
@@ -1011,47 +1067,6 @@ class SimEngine:
         return tuple(fractions.tolist()), tuple(rates.tolist()), float(busy)
 
     # -- epoch-batched (heapless completion/gap) path ------------------
-    def _portable_signature(self) -> tuple:
-        """Value-based key of the running set for the process-wide memo.
-
-        Unlike ``_sig_parts`` — which packs engine-local context ids
-        and spec tokens, both minted per serve — this key survives the
-        engine: per kernel the context *slot* (first-appearance order,
-        which is all the allocation reads of identity), the context's
-        limit/priority/restriction, and the four spec fields the
-        allocation → slowdown → rate pipeline reads.  Together with the
-        interference model they pin the result exactly.
-        """
-        slots: Dict[int, int] = {}
-        parts = []
-        tails = self._portable_tails
-        for packed, kernel, ctx in zip(
-            self._sig_parts, self._running_compute, self._running_ctx
-        ):
-            cid = ctx.context_id
-            slot = slots.get(cid)
-            if slot is None:
-                slot = len(slots)
-                slots[cid] = slot
-            # The packed (context, spec-token) int pins the whole tail:
-            # contexts never mutate limit/priority in place and specs
-            # are frozen, so the value tuple is safe to memoise.
-            tail = tails.get(packed)
-            if tail is None:
-                spec = kernel.spec
-                tail = (
-                    ctx.sm_limit,
-                    ctx.priority,
-                    ctx.restricted,
-                    spec.sm_demand,
-                    spec.mem_intensity,
-                    spec.serial_fraction,
-                    spec.base_duration_us,
-                )
-                tails[packed] = tail
-            parts.append((slot,) + tail)
-        return (self._l2_family, self.interference, tuple(parts))
-
     def _epoch_view(self, n: int) -> np.ndarray:
         """First ``n`` records of the reusable epoch array (grown 2x)."""
         arr = self._epoch_arr
@@ -1196,9 +1211,7 @@ class SimEngine:
     def _rebalance_batched(self) -> None:
         """:meth:`_rebalance`'s fast branch with the completion kept as
         a pseudo-event: arming it is two stores and a seq draw instead
-        of a heap cancel + push.  The rebalance memo adds a process-wide
-        second level (portable value signatures) so the engines of later
-        serves in a sweep start warm."""
+        of a heap cancel + push."""
         self._rebalances += 1
         if self.now > self._busy_since:
             self._accrue_busy_time()
@@ -1226,16 +1239,7 @@ class SimEngine:
             if len(cache) >= _REBALANCE_CACHE_TRACK:
                 cache.move_to_end(key)
         else:
-            l2 = _rates_l2
-            portable = self._portable_signature()
-            cached = l2.get(portable)
-            if cached is None:
-                cached = self._compute_rates()
-                if len(l2) >= _RATES_L2_SIZE:
-                    l2.clear()
-                l2[portable] = cached
-            else:
-                self._rebalance_l2_hits += 1
+            cached = self._compute_rates()
             cache[key] = cached
             if len(cache) > _REBALANCE_CACHE_SIZE:
                 cache.popitem(last=False)
@@ -1249,8 +1253,6 @@ class SimEngine:
             # Structured-array epoch refresh: one vectorized ETA step,
             # store-only python loops for the kernel attributes.
             arr = self._epoch_view(n)
-            arr["kernel"][:] = [k.uid for k in running]
-            arr["context"][:] = [c.context_id for c in self._running_ctx]
             rem = arr["remaining"]
             rate_col = arr["rate"]
             eta_col = arr["eta"]
@@ -1910,10 +1912,6 @@ class SimEngine:
             "events_processed": self._events_processed,
             "rebalances": self._rebalances,
             "rebalances_skipped": self._rebalances_skipped,
-            # _rebalance_l2_hits is deliberately absent: the L2 memo is
-            # process-global, so its hit count depends on what ran
-            # earlier in the process (run topology), and results must
-            # fingerprint identically under serial and parallel serves.
             "rebalance_cache_hits": self._rebalance_cache_hits,
             "epoch_batches": self._epoch_batches,
             "epoch_kernels_advanced": self._epoch_kernels_advanced,

@@ -173,41 +173,22 @@ class HardwareScheduler:
         first-appearance order, then running order within a context)
         with bit-identical arithmetic to ``_allocate_fair``.
         """
-        # Dominant shape: every kernel in its own context, one priority
+        # Common shape: every kernel in its own context, one priority
         # level (one queue per app, one head kernel running each).  The
         # general grouping below then degenerates to a single
         # water-fill over the per-context wants; replicate exactly that
-        # arithmetic without the dict plumbing.
+        # arithmetic without the dict plumbing.  (The engine rates solo
+        # and pair sets in closed form before reaching this.)
         n = len(contexts)
-        if n == 1:
-            # Lone running kernel: the two-pass water-fill degenerates
-            # to clamping its demand by the context limit and the GPU
-            # (grant expressions mirror the general path bit for bit).
-            cap = contexts[0].sm_limit
-            if cap <= CAPACITY_EPS:
-                return [(0, 0.0)]
-            demand = running[0].spec.sm_demand
-            want = demand if demand <= cap + SATISFIED_EPS else cap
-            if want <= 0.0:
-                return [(0, 0.0)]
-            if want <= 1.0 + SATISFIED_EPS:
-                return [(0, want)]
-            return [(0, want * (1.0 / want))]
         if n <= 6:
-            if n == 2:
-                c0, c1 = contexts
-                singleton = (
-                    c0.priority == c1.priority and c0.context_id != c1.context_id
-                )
-            else:
-                first_priority = contexts[0].priority
-                singleton = True
-                seen_ids = set()
-                for ctx in contexts:
-                    if ctx.priority != first_priority or ctx.context_id in seen_ids:
-                        singleton = False
-                        break
-                    seen_ids.add(ctx.context_id)
+            first_priority = contexts[0].priority
+            singleton = True
+            seen_ids = set()
+            for ctx in contexts:
+                if ctx.priority != first_priority or ctx.context_id in seen_ids:
+                    singleton = False
+                    break
+                seen_ids.add(ctx.context_id)
             if singleton:
                 wants: List[float] = []
                 for index, ctx in enumerate(contexts):

@@ -701,6 +701,32 @@ class TestPerfGateTool:
         monkeypatch.setenv("REPRO_CATALOG", "off")
         assert self.gate_main()(["--ingest-bench"]) == 0
 
+    def test_reads_snapshots_with_and_without_core_counts(self, tmp_path, capsys):
+        """Snapshots gained ``cpu_count``/``affinity_cores``; the gate
+        compares an old-format baseline with a new-format candidate."""
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "bench_trajectory", REPO_ROOT / "tools" / "bench_trajectory.py"
+        )
+        trajectory = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(trajectory)
+        new = trajectory.distil({"benchmarks": TestBenchIngest.ENTRY["benchmarks"]})
+        assert new["cpu_count"] >= new["affinity_cores"] >= 1
+        new["git_rev"] = REV_B
+        old = dict(TestBenchIngest.ENTRY)
+        assert "cpu_count" not in old
+        (tmp_path / "BENCH_old.json").write_text(json.dumps([old]))
+        (tmp_path / "BENCH_new.json").write_text(json.dumps([new]))
+        code = self.gate_main()(
+            ["--db", str(tmp_path / "cat.sqlite"), "--ingest-bench",
+             str(tmp_path / "BENCH_old.json"), str(tmp_path / "BENCH_new.json"),
+             "--baseline-rev", REV_A, "--current-rev", REV_B]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "1 gated" in out and "perf-gate: ok" in out
+
 
 _WRITER_SNIPPET = """
 import sys

@@ -91,16 +91,29 @@ class TestEngineModes:
 
 
 def run_faulty_switching_workload(
-    mode, kernel_params, failure_rate, fault_seed, switch_at, second_wave
+    mode,
+    kernel_params,
+    failure_rate,
+    fault_seed,
+    switch_at,
+    second_wave,
+    limits=(0.5, 0.5),
+    priorities=(0, 0),
+    layout="distinct",
 ):
     """Random workload with a fault plan and a mid-run squad switch.
 
-    Two contexts run the generated kernels; a scheduled action at
-    ``switch_at`` tears the first context down (the squad-switch
-    analogue of a REEF-style preemption) and launches a second wave on
-    the survivor — scheduled, like the harness's squad switches, so the
-    whole history is one deterministic event sequence.  Returns every
-    observable the modes must agree on byte for byte.
+    Two contexts (SM ``limits``, ``priorities``) run the generated
+    kernels; a scheduled action at ``switch_at`` tears the first
+    context down (the squad-switch analogue of a REEF-style
+    preemption) and launches a second wave on the survivor — scheduled,
+    like the harness's squad switches, so the whole history is one
+    deterministic event sequence.  ``layout`` bonds the queues:
+    ``distinct`` gives each queue its own context, ``shared`` puts
+    both queues in the survivor context, and ``three`` adds a third
+    queue sharing the survivor context, so running sets reach three
+    kernels.  Returns every observable the modes must agree on byte
+    for byte.
     """
     plan = FaultPlan(
         seed=fault_seed, kernel_failure_rate=failure_rate, max_retries=2
@@ -112,9 +125,15 @@ def run_faulty_switching_workload(
     )
     registry = ContextRegistry(engine.device)
     contexts = [
-        registry.create(f"app{i}", 0.5, charge_memory=False) for i in range(2)
+        registry.create(f"app{i}", limit, charge_memory=False, priority=priority)
+        for i, (limit, priority) in enumerate(zip(limits, priorities))
     ]
-    queues = [engine.create_queue(ctx) for ctx in contexts]
+    bonded = {
+        "distinct": contexts,
+        "shared": [contexts[1], contexts[1]],
+        "three": contexts + [contexts[1]],
+    }[layout]
+    queues = [engine.create_queue(ctx) for ctx in bonded]
     finished = []
     for qi, queue in enumerate(queues):
         kernels = [
@@ -179,23 +198,43 @@ kernel_param = st.tuples(
 )
 
 
+# Context SM limits, 1.0 (unrestricted) included so two scattered
+# kernels take the kappa_unrestricted coupling.
+context_limit = st.sampled_from([0.3, 0.5, 0.8, 1.0])
+
+
 class TestEpochBatchingProperty:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         kernel_params=st.lists(kernel_param, min_size=1, max_size=5),
         failure_rate=st.sampled_from([0.0, 0.2, 0.6]),
         fault_seed=st.integers(min_value=0, max_value=2**31),
         switch_at=st.floats(min_value=0.0, max_value=400.0, allow_nan=False),
         second_wave=st.lists(kernel_param, min_size=0, max_size=3),
+        limits=st.tuples(context_limit, context_limit),
+        priorities=st.tuples(st.sampled_from([0, 1]), st.sampled_from([0, 1])),
+        layout=st.sampled_from(["distinct", "shared", "three"]),
     )
     def test_batched_equals_scalar_and_legacy(
-        self, kernel_params, failure_rate, fault_seed, switch_at, second_wave
+        self,
+        kernel_params,
+        failure_rate,
+        fault_seed,
+        switch_at,
+        second_wave,
+        limits,
+        priorities,
+        layout,
     ):
-        """Epoch-batched advancement is byte-identical to the reference
-        modes across random fault plans and squad switches."""
-        args = (kernel_params, failure_rate, fault_seed, switch_at, second_wave)
+        """Epoch-batched advancement and the closed-form solo/pair rates
+        are byte-identical to the reference modes across random fault
+        plans, squad switches, context limits and priorities, and
+        running sets on both sides of the closed-form boundary (pairs
+        in one context or at two priorities, three-kernel sets)."""
+        args = (kernel_params, failure_rate, fault_seed, switch_at, second_wave,
+                limits, priorities, layout)
         reference = run_faulty_switching_workload("scalar", *args)
-        for mode in ("legacy", "batched", "jit"):
+        for mode in ("legacy", "vectorized", "batched", "jit"):
             assert run_faulty_switching_workload(mode, *args) == reference, mode
 
 

@@ -4,7 +4,9 @@
 Executes ``pytest benchmarks/`` with ``pytest-benchmark``'s JSON output,
 then distils each benchmark into a compact record — wall-time stats plus
 any ``extra_info`` the benchmark attached (the perf benchmarks report
-their measured speedup ratios there) — and appends the batch to
+their measured speedup ratios there) — stamps the batch with the
+machine's core count (``cpu_count``, and ``affinity_cores`` visible to
+the process), and appends it to
 ``BENCH_<date>.json`` in the output directory.  Appending (rather than
 overwriting) builds a same-day trajectory: run it before and after a
 change and diff the two entries.
@@ -79,6 +81,11 @@ def distil(raw: dict) -> dict:
         "git_rev": current_git_rev(REPO_ROOT),
         "machine": raw.get("machine_info", {}).get("node", ""),
         "python": raw.get("machine_info", {}).get("python_version", ""),
+        # Wall-time readings (and jobs>1 speedups above all) mean little
+        # without the core count they were taken on.
+        "cpu_count": os.cpu_count(),
+        "affinity_cores": len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "benchmarks": [],
     }
     for bench in raw.get("benchmarks", []):
