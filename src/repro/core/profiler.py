@@ -16,7 +16,7 @@ the analytic profile matches an actual simulated solo run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -52,6 +52,25 @@ class AppProfile:
     # older calibration become unreachable the moment the profile is
     # re-measured (repro.core.config_cache).
     version: int = 0
+    # Per-partition rows of ``elapsed`` and of ``durations + gaps`` as
+    # Python float lists, converted on first read: squad generation
+    # reads them per kernel, and scalar numpy indexing costs several
+    # times a list lookup.  Only the rows actually read are converted.
+    _tau_rows: Dict[int, List[float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _step_rows: Dict[int, List[float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        # The row caches above mirror the arrays, so the arrays must not
+        # change under them: an in-place write raises ValueError.
+        for array in (
+            self.durations, self.elapsed, self.sm_demand, self.gaps,
+            self.mem_intensity,
+        ):
+            array.flags.writeable = False
 
     @property
     def num_kernels(self) -> int:
@@ -64,15 +83,23 @@ class AppProfile:
     def step_cost(self, partition: int, kernel: int) -> float:
         """Kernel duration plus its preceding dispatch gap — the time
         the kernel occupies on its request's critical path."""
-        return float(self.durations[partition - 1, kernel] + self.gaps[kernel])
+        row = self._step_rows.get(partition)
+        if row is None:
+            row = (self.durations[partition - 1] + self.gaps).tolist()
+            self._step_rows[partition] = row
+        return row[kernel]
 
     def tau(self, partition: int, kernel: int) -> float:
         """``tau[n%][k]`` with ``partition`` 1-based."""
-        return float(self.elapsed[partition - 1, kernel])
+        row = self._tau_rows.get(partition)
+        if row is None:
+            row = self.elapsed[partition - 1].tolist()
+            self._tau_rows[partition] = row
+        return row[kernel]
 
     def iso_latency(self, partition: int) -> float:
         """``T[n%]`` — isolated latency at a partition size."""
-        return float(self.elapsed[partition - 1, -1])
+        return self.tau(partition, -1)
 
     def stack_duration(self, partition: int, start: int, end: int) -> float:
         """Critical-path time of kernels ``[start, end)`` in one queue
@@ -168,27 +195,45 @@ class OfflineProfiler:
             return cached
 
         n = self.config.num_partitions
-        kernels = app.kernels
-        durations = np.empty((n, len(kernels)), dtype=float)
-        for p in range(1, n + 1):
-            fraction = p / n
-            durations[p - 1] = [k.duration_at(fraction) for k in kernels]
-        gaps = np.array([k.dispatch_gap_us for k in kernels], dtype=float)
+        columns = np.array(
+            [
+                (
+                    k.base_duration_us,
+                    k.sm_demand,
+                    k.serial_fraction,
+                    k.dispatch_gap_us,
+                    k.mem_intensity,
+                    k.is_compute,
+                )
+                for k in app.kernels
+            ],
+            dtype=float,
+        ).T
+        base, demand, serial, gaps, intensity, compute = columns
+        # KernelSpec.duration_at over the whole (partition, kernel) grid,
+        # with the same IEEE operations in the same order, so every entry
+        # is bit-identical to the scalar call.
+        fraction = (np.arange(1, n + 1) / n)[:, None]
+        usable = np.minimum(fraction, demand)
+        slowdown = demand / usable
+        durations = base * (serial + (1.0 - serial) * slowdown)
+        fixed = compute == 0.0  # non-compute kernels do not scale with SMs
+        durations[:, fixed] = base[fixed]
         elapsed = (durations + gaps[None, :]).cumsum(axis=1)
-        demand = np.array([k.sm_demand for k in kernels], dtype=float)
-        intensity = np.array([k.mem_intensity for k in kernels], dtype=float)
 
         # One full run to get overall performance + N partitioned runs
         # (the paper's O(MN) profiling procedure).
         cost = float(elapsed[-1, -1]) + float(elapsed[:, -1].sum())
+        # The per-kernel columns are strided views; the profile keeps
+        # contiguous copies.
         profile = AppProfile(
             app_name=app.name,
             num_partitions=n,
             durations=durations,
             elapsed=elapsed,
-            sm_demand=demand,
-            gaps=gaps,
-            mem_intensity=intensity,
+            sm_demand=demand.copy(),
+            gaps=gaps.copy(),
+            mem_intensity=intensity.copy(),
             memory_mb=app.memory_mb,
             profiling_cost_us=cost,
             version=self.version,

@@ -18,10 +18,13 @@ request's ``P̃`` at composition time (``docs/observability.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..apps.application import Request
 from .config import BlessConfig
+from .graphs import graph_end
 from .progress import RequestProgress
 
 if TYPE_CHECKING:
@@ -145,55 +148,69 @@ def generate_squad(
         # not bound the reconfiguration latency when kernels are large.
         limit = max(1, round(limit * config.solo_squad_fraction))
 
+    # Generation stops as soon as the chosen request runs out of
+    # kernels, so every candidate stays available until the loop ends.
+    # Within one call only the chosen request's urgency and in-squad
+    # count change: each candidate's key is computed once and only the
+    # chosen app's key is refreshed after each step.
+    keys: Optional[List[Tuple[float, float]]] = None
+    peers: Dict[str, List[int]] = {}
+    if config.use_multitask_scheduler and not solo:
+        for i, p in enumerate(candidates):
+            peers.setdefault(p.request.app.app_id, []).append(i)
+        keys = [_priority(p, 0, now, config.slo_aware) for p in candidates]
+
+    total = 0
     accumulated_us = 0.0
     rr_index = 0
-    while squad.total_kernels < limit:
-        available = [p for p in candidates if not p.exhausted]
-        if not available:
-            break
-        if config.use_multitask_scheduler:
-            # Final tie-break: quota-weighted interleaving — the request
-            # with the smallest (kernels already in this squad / quota)
-            # goes next.  Exactly-tied requests (two identical apps
-            # arriving at the same instant) interleave instead of one
-            # filling the squad, and a 8/9-quota app correctly receives
-            # ~8x the kernels of a 1/9-quota co-runner at equal lag.
-            # ``slo_aware`` swaps in the deadline-pressure ordering for
-            # gateway-annotated requests; the default flag preserves the
-            # legacy arithmetic byte-for-byte.
-            if config.slo_aware:
-                def key(p: RequestProgress):
-                    entry = squad.entries.get(p.request.app.app_id)
-                    in_squad = entry.count if entry is not None else 0
-                    return (p.slo_urgency(now), -in_squad / p.request.app.quota)
-            else:
-                def key(p: RequestProgress):
-                    entry = squad.entries.get(p.request.app.app_id)
-                    in_squad = entry.count if entry is not None else 0
-                    return (p.urgency(now), -in_squad / p.request.app.quota)
-
-            chosen = max(available, key=key)
+    while total < limit:
+        if keys is not None:
+            # First maximal key wins, as with ``max``.
+            chosen = candidates[max(range(len(keys)), key=keys.__getitem__)]
         else:
-            chosen = available[rr_index % len(available)]
+            chosen = candidates[rr_index % len(candidates)]
             rr_index += 1
-        index = chosen.request.next_kernel
+        request = chosen.request
+        app_id = request.app.app_id
+        index = request.next_kernel
         end = index + 1
-        boundaries = chosen.request.app.graph_boundaries
+        boundaries = request.app.graph_boundaries
         if boundaries is not None:
             # CUDA-graph granularity (§6.10): graphs are indivisible —
             # take every kernel to the end of the current graph.
-            from .graphs import graph_end
-
-            end = graph_end(boundaries, index, chosen.request.total_kernels)
+            end = graph_end(boundaries, index, request.total_kernels)
         for kernel_index in range(index, end):
-            squad.add(chosen.request, kernel_index)
+            squad.add(request, kernel_index)
             if solo:
                 accumulated_us += chosen.profile.step_cost(
                     chosen.profile.num_partitions, kernel_index
                 )
-        chosen.request.next_kernel = end
-        if chosen.request.all_scheduled:
+        total += end - index
+        request.next_kernel = end
+        if request.all_scheduled:
             break
         if solo and accumulated_us >= config.solo_squad_budget_us:
             break
+        if keys is not None and total < limit:
+            in_squad = squad.entries[app_id].count
+            for i in peers[app_id]:
+                keys[i] = _priority(candidates[i], in_squad, now, config.slo_aware)
     return squad
+
+
+def _priority(
+    progress: RequestProgress, in_squad: int, now: float, slo_aware: bool
+) -> Tuple[float, float]:
+    """Multi-task scheduler ordering key (largest is served next).
+
+    Final tie-break: quota-weighted interleaving — the request with the
+    smallest (kernels already in this squad / quota) goes next.
+    Exactly-tied requests (two identical apps arriving at the same
+    instant) interleave instead of one filling the squad, and a 8/9-quota
+    app correctly receives ~8x the kernels of a 1/9-quota co-runner at
+    equal lag.  ``slo_aware`` swaps in the deadline-pressure ordering for
+    gateway-annotated requests; the default flag preserves the legacy
+    arithmetic byte-for-byte.
+    """
+    urgency = progress.slo_urgency(now) if slo_aware else progress.urgency(now)
+    return (urgency, -in_squad / progress.request.app.quota)

@@ -1,10 +1,15 @@
 """Tests for progress perception (§4.3.1) and squad generation (§4.3.2)."""
 
+import functools
+from typing import Sequence
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.application import Request
-from repro.apps.models import inference_app
+from repro.apps.models import MODEL_NAMES, inference_app
 from repro.core.config import BlessConfig
+from repro.core.graphs import with_cuda_graphs
 from repro.core.profiler import OfflineProfiler
 from repro.core.progress import RequestProgress
 from repro.core.squad import KernelSquad, generate_squad
@@ -172,3 +177,184 @@ class TestKernelSquad:
         assert squad.num_requests == 1
         assert squad.entry("x").count == 2
         assert squad.total_kernels == 2
+
+
+def reference_generate_squad(
+    progresses: Sequence[RequestProgress],
+    now: float,
+    config: BlessConfig,
+) -> KernelSquad:
+    """The straightforward generation loop, kept as the oracle for the
+    incremental :func:`generate_squad`: every step rescans every
+    candidate and recomputes its urgency."""
+    squad = KernelSquad()
+    candidates = [p for p in progresses if not p.exhausted]
+    if not candidates:
+        return squad
+
+    limit = config.max_kernels_per_squad
+    solo = len(candidates) == 1
+    if solo:
+        # Solo streaming: keep squads short so a newly arriving request
+        # gets resources at the next (near) boundary (§3.3).  Both a
+        # kernel-count cap and a time budget apply — counts alone do
+        # not bound the reconfiguration latency when kernels are large.
+        limit = max(1, round(limit * config.solo_squad_fraction))
+
+    accumulated_us = 0.0
+    rr_index = 0
+    while squad.total_kernels < limit:
+        available = [p for p in candidates if not p.exhausted]
+        if not available:
+            break
+        if config.use_multitask_scheduler:
+            # Final tie-break: quota-weighted interleaving — the request
+            # with the smallest (kernels already in this squad / quota)
+            # goes next.  Exactly-tied requests (two identical apps
+            # arriving at the same instant) interleave instead of one
+            # filling the squad, and a 8/9-quota app correctly receives
+            # ~8x the kernels of a 1/9-quota co-runner at equal lag.
+            # ``slo_aware`` swaps in the deadline-pressure ordering for
+            # gateway-annotated requests; the default flag preserves the
+            # legacy arithmetic byte-for-byte.
+            if config.slo_aware:
+                def key(p: RequestProgress):
+                    entry = squad.entries.get(p.request.app.app_id)
+                    in_squad = entry.count if entry is not None else 0
+                    return (p.slo_urgency(now), -in_squad / p.request.app.quota)
+            else:
+                def key(p: RequestProgress):
+                    entry = squad.entries.get(p.request.app.app_id)
+                    in_squad = entry.count if entry is not None else 0
+                    return (p.urgency(now), -in_squad / p.request.app.quota)
+
+            chosen = max(available, key=key)
+        else:
+            chosen = available[rr_index % len(available)]
+            rr_index += 1
+        index = chosen.request.next_kernel
+        end = index + 1
+        boundaries = chosen.request.app.graph_boundaries
+        if boundaries is not None:
+            # CUDA-graph granularity (§6.10): graphs are indivisible —
+            # take every kernel to the end of the current graph.
+            from repro.core.graphs import graph_end
+
+            end = graph_end(boundaries, index, chosen.request.total_kernels)
+        for kernel_index in range(index, end):
+            squad.add(chosen.request, kernel_index)
+            if solo:
+                accumulated_us += chosen.profile.step_cost(
+                    chosen.profile.num_partitions, kernel_index
+                )
+        chosen.request.next_kernel = end
+        if chosen.request.all_scheduled:
+            break
+        if solo and accumulated_us >= config.solo_squad_budget_us:
+            break
+    return squad
+
+
+@functools.lru_cache(maxsize=None)
+def _profiled_app(model: str, graph_size: int):
+    """(app, profile) for a model, graphed when ``graph_size`` > 0.
+
+    A graphed app keeps its model's name but drops the in-graph gaps,
+    so it gets a profiler of its own.
+    """
+    app = inference_app(model)
+    if graph_size:
+        app = with_cuda_graphs(app, graph_size)
+    return app, OfflineProfiler().profile(app)
+
+
+@st.composite
+def request_specs(draw):
+    return {
+        "model": draw(st.sampled_from(MODEL_NAMES)),
+        "graph_size": draw(st.sampled_from([0, 0, 1, 4, 12])),
+        "quota": draw(st.sampled_from([1 / 9, 2 / 9, 1 / 3, 0.5, 2 / 3, 1.0])),
+        "arrival": draw(st.floats(0.0, 20_000.0)),
+        # Fraction of the request already scheduled before this squad.
+        "start": draw(st.floats(0.0, 1.0)),
+        "slo_class": draw(st.sampled_from([None, "latency_critical", "best_effort"])),
+        "deadline_after": draw(st.one_of(st.none(), st.floats(0.0, 40_000.0))),
+        "t_ref_scale": draw(st.sampled_from([None, 0.5, 2.0])),
+    }
+
+
+@st.composite
+def squad_scenarios(draw):
+    specs = draw(st.lists(request_specs(), min_size=1, max_size=5))
+    for i, spec in enumerate(specs):
+        spec["app_id"] = f"a{i}"
+    twin = draw(st.sampled_from([None, "tie", "same_app"]))
+    if len(specs) < 5 and twin is not None:
+        # "tie": an identical app arriving at the same instant.
+        # "same_app": a second request of the first app, sharing its
+        # squad entry and in-squad count.
+        copy = dict(specs[0])
+        if twin == "tie":
+            copy["app_id"] = f"a{len(specs)}"
+        specs.insert(1, copy)
+    config = BlessConfig(
+        max_kernels_per_squad=draw(st.integers(1, 80)),
+        solo_squad_fraction=draw(st.sampled_from([0.1, 0.25, 0.5, 1.0])),
+        use_multitask_scheduler=draw(st.booleans()),
+        slo_aware=draw(st.booleans()),
+    )
+    now = draw(st.floats(0.0, 60_000.0))
+    return specs, config, now
+
+
+def _build_progresses(specs, config):
+    progresses = []
+    for spec in specs:
+        base, profile = _profiled_app(spec["model"], spec["graph_size"])
+        app = base.with_quota(spec["quota"], app_id=spec["app_id"])
+        partition = config.nearest_partition(spec["quota"])
+        t_ref = profile.iso_latency(partition)
+        if spec["t_ref_scale"] is not None:
+            t_ref *= spec["t_ref_scale"]
+        request = Request(app=app, arrival_time=spec["arrival"])
+        request.next_kernel = int(spec["start"] * request.total_kernels)
+        deadline = None
+        if spec["deadline_after"] is not None:
+            deadline = spec["arrival"] + spec["deadline_after"]
+        progresses.append(
+            RequestProgress(
+                request=request,
+                profile=profile,
+                partition=partition,
+                t_ref_us=t_ref,
+                slo_class=spec["slo_class"],
+                slo_deadline_us=deadline,
+            )
+        )
+    return progresses
+
+
+def _outcome(squad, progresses):
+    """Entry order, each entry's request (by position) and kernel
+    indices, and every request's next kernel afterwards."""
+    position = {id(p.request): i for i, p in enumerate(progresses)}
+    entries = [
+        (entry.app_id, position[id(entry.request)], entry.kernel_indices)
+        for entry in squad.entries.values()
+    ]
+    return entries, [p.request.next_kernel for p in progresses]
+
+
+class TestIncrementalMatchesReference:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(squad_scenarios())
+    def test_same_squad_and_progress(self, scenario):
+        specs, config, now = scenario
+        expected_progresses = _build_progresses(specs, config)
+        actual_progresses = _build_progresses(specs, config)
+        expected = reference_generate_squad(expected_progresses, now, config)
+        actual = generate_squad(actual_progresses, now, config)
+        assert _outcome(actual, actual_progresses) == _outcome(
+            expected, expected_progresses
+        )
+        assert actual.total_kernels == expected.total_kernels
