@@ -29,17 +29,13 @@ Search-cost engineering (the §6.9 decision-latency budget):
   signature (:meth:`KernelSquad.signature`); consecutive squads from
   the same request mix are near-identical, so steady-state serving hits
   the cache almost always (``repro.core.config_cache``);
-* **vectorization** — the default search builds one ``(K, N)`` Eq. 1
+* **vectorization** — the search builds one ``(K, N)`` Eq. 1
   stack-cost matrix plus an ``(n_configs, K)`` composition matrix and
-  reduces them in bulk with numpy instead of per-composition loops;
-* **branch-and-bound** — the ``"scalar"`` mode walks the composition
-  tree depth-first and abandons a prefix as soon as one app's partial
-  stack already exceeds the incumbent best makespan (safe: granting the
-  remaining apps partitions can only add new stacks, never shrink the
-  prefix max).
+  reduces them in bulk with numpy instead of per-composition loops.
 
-The pre-optimization path survives as ``config_search_mode="legacy"``;
-all three modes provably choose the same configuration (see
+The pre-optimization per-composition loop survives as
+``ExecutionConfigDeterminer(mode="legacy")``, the oracle the vectorized
+search is checked against: both choose the same configuration (see
 ``tests/test_config_cache.py`` and ``benchmarks/test_config_search_perf.py``).
 """
 
@@ -149,12 +145,17 @@ def _composition_array(total: int, parts: int) -> np.ndarray:
     return array
 
 
+#: Composition-search modes: the numpy search and its reference loop.
+SEARCH_MODES = ("vectorized", "legacy")
+
+
 class ExecutionConfigDeterminer:
     """Searches the configuration space with the two estimators.
 
-    ``mode`` overrides ``config.config_search_mode``; ``cache`` injects
-    a shared :class:`ExecutionConfigCache` (one is created from the
-    config's knobs when omitted and caching is enabled).
+    ``mode`` is ``"vectorized"`` (the default) or ``"legacy"``, the
+    per-composition reference loop; ``cache`` injects a shared
+    :class:`ExecutionConfigCache` (one is created from the config's
+    knobs when omitted and caching is enabled).
     """
 
     def __init__(
@@ -164,9 +165,11 @@ class ExecutionConfigDeterminer:
         mode: Optional[str] = None,
     ):
         self.config = config
-        self.mode = mode or config.config_search_mode
-        if self.mode not in ("vectorized", "scalar", "legacy"):
-            raise ValueError(f"unknown config_search_mode {self.mode!r}")
+        self.mode = mode or "vectorized"
+        if self.mode not in SEARCH_MODES:
+            raise ValueError(
+                f"search mode must be one of {SEARCH_MODES}, got {self.mode!r}"
+            )
         if cache is None and config.use_config_cache:
             cache = ExecutionConfigCache(config.config_cache_size)
         self.cache = cache
@@ -362,8 +365,6 @@ class ExecutionConfigDeterminer:
             if self.mode == "legacy":
                 return self._enumerate_legacy(squad, profiles, app_ids, n)
             stack = self._stack_matrix(squad, profiles, app_ids)
-            if self.mode == "scalar":
-                return self._enumerate_pruned(stack, app_ids, n)
             return self._enumerate_vectorized(stack, app_ids, n)
         return self._local_search(squad, profiles, app_ids, n)
 
@@ -424,61 +425,6 @@ class ExecutionConfigDeterminer:
         return ExecutionConfig(
             partitions=dict(zip(app_ids, (int(p) for p in splits[index]))),
             predicted_duration_us=float(best_makespan),
-        )
-
-    def _enumerate_pruned(
-        self,
-        stack: np.ndarray,
-        app_ids: List[str],
-        n: int,
-    ) -> Optional[ExecutionConfig]:
-        """Depth-first enumeration with branch-and-bound pruning.
-
-        Walks compositions in the same lexicographic order as
-        :func:`_compositions`, carrying the incumbent best score.  A
-        prefix whose partial stack max already *exceeds* the incumbent
-        makespan cannot contain the winner (descendants only add
-        stacks) and is cut.  Pruning is strict-greater only: an
-        equal-makespan descendant may still win on the total-stack
-        tie-break, so those subtrees survive — decisions stay identical
-        to the exhaustive scan.
-        """
-        k = len(app_ids)
-        if k <= 0 or n < k:
-            return None
-        best_split: Optional[Tuple[int, ...]] = None
-        best_score = (math.inf, math.inf)
-        prefix = [0] * k
-
-        def descend(app: int, remaining: int, prefix_max: float, prefix_sum: float):
-            nonlocal best_split, best_score
-            if prefix_max > best_score[0]:
-                return  # bound: no descendant can beat the incumbent
-            if app == k - 1:
-                cost = float(stack[app, remaining - 1])
-                score = (max(prefix_max, cost), prefix_sum + cost)
-                if score < best_score:
-                    prefix[app] = remaining
-                    best_score = score
-                    best_split = tuple(prefix)
-                return
-            apps_left = k - app - 1
-            for parts in range(1, remaining - apps_left + 1):
-                cost = float(stack[app, parts - 1])
-                new_max = max(prefix_max, cost)
-                if new_max > best_score[0]:
-                    # Larger allocations only shrink this app's stack,
-                    # so later siblings may still fit — keep scanning.
-                    continue
-                prefix[app] = parts
-                descend(app + 1, remaining - parts, new_max, prefix_sum + cost)
-
-        descend(0, n, 0.0, 0.0)
-        if best_split is None:
-            return None
-        return ExecutionConfig(
-            partitions=dict(zip(app_ids, best_split)),
-            predicted_duration_us=best_score[0],
         )
 
     def _enumerate_legacy(

@@ -20,40 +20,36 @@ next completion time is exact — no time-stepping error.
 Memcpy kernels drain through the PCIe channel instead of the SM pool.
 SYNC kernels complete immediately when they reach the queue head.
 
-Hot-path design (see docs/performance.md)
------------------------------------------
-The event loop is the dominant cost of every figure reproduction, so
-the engine keeps structural fast paths:
+Two event loops (see docs/performance.md)
+----------------------------------------
+``SimEngine(mode=...)``, or ``REPRO_ENGINE_MODE`` for every engine in a
+process tree, picks one of two loops with byte-identical results:
 
-* **ready-set dispatch** — queues register themselves in a dirty set
-  when a push, a completion, or a gap expiry makes their head
-  actionable; ``_dispatch`` examines only those queues instead of
-  scanning every queue on every event;
-* **rebalance gating + memoization** — rates are a pure function of the
-  *membership* of the running set (specs + contexts), so a rebalance is
-  skipped outright when membership did not change, and the allocation →
-  slowdown → rate pipeline is memoized per membership signature in an
-  engine-local LRU.  A memo miss on a solo kernel or on a pair in
-  distinct contexts at one priority — nearly every miss — is rated in
-  closed form, one straight pass in the reference operation order.
-  The original per-kernel path is kept behind ``mode="scalar"`` as the
-  byte-for-byte equivalence reference;
-* **rate-change epochs** (``mode="batched"``, the default) — between
-  two rate-changing events (arrival, completion, squad switch, fault)
-  every running kernel advances at a constant rate, so the engine keeps
-  the next completion and the queue gap wake-ups as *pseudo-events*
-  compared against the heap top instead of heap entries that are
-  cancelled and re-pushed on every rebalance.  Remaining-work/ETA
-  updates collapse into one batched step per epoch — a numpy structured
-  array (``remaining, rate, eta``) once the running
-  set is wide enough, a fused scalar loop below that — with arithmetic
-  identical to the event-per-kernel modes;
-* **optional jit rebalance kernel** (``mode="jit"``) — the epoch engine
-  with the rebalance miss path compiled by numba when it is installed
-  (``pip install .[perf]``), falling back silently to the batched
-  engine (byte-identical to ``vectorized``) when it is not;
-* **lazy-cancel heap compaction** — cancelled events are dropped when
-  popped, and when they outnumber half the heap it is rebuilt in place.
+* ``batched`` (the default) is the fast path.  Between two
+  rate-changing events (arrival, completion, squad switch, fault) every
+  running kernel advances at a constant rate, so the next completion
+  and the queue gap wake-ups are *pseudo-events* compared against the
+  heap top, not heap entries cancelled and re-pushed on every
+  rebalance, and each completion tick advances the running set in one
+  fused pass.  Dispatch examines only the queues a push, a completion
+  or a gap expiry marked ready.  Rates are a pure function of the
+  running set's *membership* (specs + contexts): a rebalance is skipped
+  when membership did not change, and the allocation → slowdown → rate
+  pipeline is memoized per membership signature in an engine-local
+  LRU.  A memo miss on a solo kernel or on a pair in distinct contexts
+  at one priority — nearly every miss — is rated in closed form; any
+  other set takes one scalar pass in the reference operation order.
+* ``reference`` is the oracle the fast path is checked against: every
+  dispatch scans every queue, every event re-rates the running set
+  through ``HardwareScheduler.allocate`` →
+  ``InterferenceModel.slowdowns`` → ``KernelSpec.rate_at``, and
+  completions, gap wake-ups and each launched kernel's visibility are
+  heap events.  ``validate=True`` and the ``fifo`` hardware policy
+  always run this loop: it checks the physical invariants on every
+  rebalance and takes any allocation policy.
+
+Both loops drop cancelled heap events lazily when popped, and rebuild
+the heap in place once cancelled events outnumber half of it.
 
 ``SimEngine.counters`` exposes the event/rebalance/epoch/compaction
 tallies; serving harnesses surface them in ``ServingResult.extras``
@@ -70,8 +66,6 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from .device import GPUDevice
 from .hwsched import CAPACITY_EPS, SATISFIED_EPS, HardwareScheduler, _waterfill_small
 from .interference import InterferenceModel
@@ -87,7 +81,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 EventCallback = Callable[[], None]
 
-ENGINE_MODES = ("batched", "jit", "vectorized", "scalar", "legacy")
+ENGINE_MODES = ("batched", "reference")
 
 # Heap-compaction policy: rebuild when cancelled events outnumber live
 # ones and there are enough of them to be worth an O(n) sweep.
@@ -95,33 +89,11 @@ _COMPACT_MIN_CANCELLED = 64
 
 _NEVER_FINISHED = float("-inf")
 
-# Bound on the membership-signature -> rates memo (vectorized mode).
+# Bound on the membership-signature -> rates memo (batched loop).
 _REBALANCE_CACHE_SIZE = 8192
 # Only track hit recency (LRU move-to-end) once the cache could
 # plausibly fill; below this nothing is evicted anyway.
 _REBALANCE_CACHE_TRACK = _REBALANCE_CACHE_SIZE // 2
-
-# Below this many active kernels a memo miss evaluates the (identical)
-# arithmetic with scalar ops: numpy array construction costs more than
-# it saves on 2-4 element sets, which dominate two-app serving.
-_VECTOR_MIN_ACTIVE = 8
-
-# Below this many running kernels the epoch advance/ETA step of the
-# batched engine uses a fused scalar loop; at or above it, the numpy
-# structured-array path (gather → one vector op → store-only scatter)
-# wins.  Same IEEE arithmetic on both sides.
-_EPOCH_VECTOR_MIN = 8
-
-# Structured per-kernel epoch state of the batched engine: between two
-# rate-changing events every running kernel advances at a constant
-# rate, so one record per kernel fully describes the epoch.
-EPOCH_DTYPE = np.dtype(
-    [
-        ("remaining", np.float64),
-        ("rate", np.float64),
-        ("eta", np.float64),
-    ]
-)
 
 def _closed_form_rate(
     spec: KernelSpec, grant: float, total_intensity: float, kappa: float,
@@ -145,38 +117,12 @@ def _closed_form_rate(
     return base / duration / slowdown
 
 
-def _load_jit_kernel():
-    """The numba-compiled rebalance kernel, or None when unavailable.
-
-    Import errors (numba absent) and compilation trouble both fall back
-    silently: ``mode="jit"`` then behaves exactly like ``batched``.
-    """
-    try:
-        from ._jit_rates import HAVE_NUMBA, rate_kernel
-    except Exception:  # pragma: no cover - defensive import guard
-        return None
-    return rate_kernel if HAVE_NUMBA else None
-
-
-def jit_available() -> bool:
-    """Whether ``mode="jit"`` will actually run the compiled kernel."""
-    return _load_jit_kernel() is not None
-
-
 def default_engine_mode() -> str:
     """The engine mode used when ``SimEngine(mode=None)``.
 
-    Controlled by ``REPRO_ENGINE_MODE`` (``batched`` | ``jit`` |
-    ``vectorized`` | ``scalar`` | ``legacy``) so test harnesses can
-    flip every engine in a process tree at once.  ``batched`` (the
-    default) runs the rate-change-epoch event loop; ``jit`` adds the
-    numba-compiled rebalance kernel when numba is installed and falls
-    back to ``batched`` silently when it is not; ``vectorized`` keeps
-    the heap-driven loop with memoized numpy rebalances; ``scalar``
-    keeps the structural fast paths but evaluates rates per kernel;
-    ``legacy`` additionally restores the pre-overhaul full-queue scan
-    and unconditional rebalance, as the benchmark baseline.  All five
-    are byte-identical.
+    Read from ``REPRO_ENGINE_MODE`` (``batched`` | ``reference``) so test
+    harnesses can flip every engine in a process tree at once;
+    ``batched`` when unset.
     """
     mode = os.environ.get("REPRO_ENGINE_MODE", "batched")
     if mode not in ENGINE_MODES:
@@ -239,27 +185,15 @@ class SimEngine:
         if mode not in ENGINE_MODES:
             raise ValueError(f"engine mode must be one of {ENGINE_MODES}, got {mode!r}")
         self.mode = mode
-        self._legacy = mode == "legacy"
         # Debug mode: assert physical invariants on every rebalance
         # (allocation feasibility, rate bounds, work conservation).
         self.validate = validate
-        # Decided once: every constituent is fixed at construction.
-        self._fast_rates = (
-            mode in ("vectorized", "batched", "jit")
-            and not validate
-            and self.hwsched.policy == "fair"
-        )
-        # The epoch-batched event loop needs the memoized fair-policy
-        # rebalance; with validate or a non-fair policy the engine
-        # demotes itself to the (byte-identical) heap-driven loop.
-        self._batched = mode in ("batched", "jit") and self._fast_rates
-        # mode="jit": numba-compiled rebalance miss path when numba is
-        # importable, silent fallback to the batched engine otherwise.
-        self._jit_kernel = _load_jit_kernel() if mode == "jit" else None
-        self._compute_rates = (
-            self._compute_rates_jit
-            if self._jit_kernel is not None
-            else self._compute_rates_vectorized
+        # The epoch loop needs the memoized fair-policy rebalance; with
+        # validate or a non-fair policy the engine runs the
+        # (byte-identical) reference loop, which checks the invariants
+        # and takes any allocation policy.
+        self._batched = (
+            mode == "batched" and not validate and self.hwsched.policy == "fair"
         )
         self.pcie = PCIeChannel()
         self.now = 0.0
@@ -268,10 +202,12 @@ class SimEngine:
         self._cancelled_in_heap = 0
         self._queues: List[DeviceQueue] = []
         self._queue_of: Dict[int, DeviceQueue] = {}  # kernel uid -> queue
-        # queue id -> (pending wake time, its event) for gapped heads
+        # Reference loop: queue id -> (pending wake time, its event) for
+        # gapped heads.
         self._gap_events: Dict[int, Tuple[float, _Event]] = {}
-        # Ready set: queues whose head may have become actionable since
-        # the last dispatch (push / completion / gap expiry).
+        # Ready set (batched loop): queues whose head may have become
+        # actionable since the last dispatch (push / completion / gap
+        # expiry).  The reference loop scans every queue instead.
         self._dirty_queues: Dict[int, DeviceQueue] = {}
         self._running_compute: List[KernelInstance] = []
         self._running_memcpy: List[KernelInstance] = []
@@ -289,15 +225,16 @@ class SimEngine:
         # True whenever the running-set membership changed since the
         # last rebalance; rates are a pure function of membership, so a
         # clean flag means the previous rates (and the pending
-        # completion event) are still exact.
+        # completion) are still exact.
         self._running_dirty = False
+        # Reference loop: the pending completion heap event.
         self._completion_event: Optional[_Event] = None
-        # Batched-mode pseudo-events: the next completion and the queue
+        # Batched-loop pseudo-events: the next completion and the queue
         # gap wake-ups live outside the heap as (time, seq) pairs the
         # main loop compares against the heap top.  Seqs come from the
         # same counter as heap events, at the same points the
-        # heap-driven loop would schedule them, so tie-breaking at
-        # equal times is identical across modes.
+        # reference loop would schedule them, so tie-breaking at equal
+        # times is identical across loops.
         self._completion_time = math.inf
         self._completion_seq = 0
         # queue id -> (requested ready_at, scheduled time, seq, queue)
@@ -305,8 +242,6 @@ class SimEngine:
         self._gap_min_time = math.inf
         self._gap_min_seq = 0
         self._gap_min_qid = -1
-        # Reusable structured-array epoch state (allocated on demand).
-        self._epoch_arr: Optional[np.ndarray] = None
         self._finish_subscribers: List[Callable[[KernelInstance], None]] = []
         self._failure_subscribers: List[Callable[[KernelInstance], None]] = []
         self._per_kernel_callbacks: Dict[int, Callable[[KernelInstance], None]] = {}
@@ -314,7 +249,7 @@ class SimEngine:
         # completion tick), between the finish sweep and re-dispatch —
         # the squad-boundary preemption points of the serving gateway.
         # Empty outside gateway runs, so the epoch loop pays only a
-        # truthiness check and stays byte-identical across all modes.
+        # truthiness check and stays byte-identical to the reference.
         self._epoch_hooks: List[Callable[[], None]] = []
         # Fault injection (None on the default, perfect-world path).
         self._faults = fault_injector
@@ -325,7 +260,8 @@ class SimEngine:
         # kernel uid -> event for kernels parked in retry backoff; their
         # queue stays blocked on them until the retry (or a kill) runs.
         self._pending_retries: Dict[int, _Event] = {}
-        # Memoized membership-signature -> (fractions, rates, busy).
+        # Batched loop: memoized membership-signature ->
+        # (fractions, rates, busy).
         self._rebalance_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
         # Utilization accounting: integral of busy SM fraction over time.
         self._busy_integral = 0.0
@@ -348,7 +284,7 @@ class SimEngine:
         self._heap_compactions = 0
         self._peak_heap_size = 0
         self._gap_events_superseded = 0
-        # Epoch-batched advance tallies (batched/jit modes).
+        # Epoch-batched advance tallies (batched loop).
         self._epoch_batches = 0
         self._epoch_kernels_advanced = 0
         self._epoch_max_batch = 0
@@ -358,7 +294,6 @@ class SimEngine:
             # mode branch on every hot call.
             self._dispatch = self._dispatch_batched
             self._maybe_rebalance = self._maybe_rebalance_batched
-            self._rebalance = self._rebalance_batched
             self._ensure_gap_event = self._ensure_gap_wake
 
     # ------------------------------------------------------------------
@@ -476,8 +411,8 @@ class SimEngine:
         """
         if not kernels:
             return
-        if self._legacy:
-            # Baseline behavior: one event per kernel.
+        if not self._batched:
+            # Reference loop: one visibility event per kernel.
             for position, kernel in enumerate(kernels):
                 on_finish = callbacks[position] if callbacks else None
                 self.launch(kernel, queue, launch_overhead, on_finish)
@@ -544,86 +479,6 @@ class SimEngine:
         """Register ``queue`` for the next dispatch pass."""
         self._dirty_queues[queue.queue_id] = queue
 
-    def _dispatch(self) -> None:
-        """Start head kernels of ready queues, then rebalance if needed.
-
-        Only queues in the dirty set are examined; a queue enters the
-        set when a push, a completion in the queue, or a gap expiry may
-        have made its head actionable.  SYNC kernels complete
-        immediately and re-mark their queue, so the loop drains until
-        heads are stable — same fixpoint as the historical full scan,
-        without touching idle queues.
-        """
-        if self._legacy:
-            self._dispatch_legacy()
-            return
-        started = False
-        progressing = False
-        dirty = self._dirty_queues
-        faults = self._faults
-        # The clock only advances in the event loop, never inside a
-        # dispatch pass, so ``now`` is loop-invariant here.
-        now = self.now
-        horizon = now + 1e-9
-        while dirty:
-            # Creation order mirrors the historical full-scan order.
-            if len(dirty) == 1:
-                batch = (dirty.popitem()[1],)
-            else:
-                batch = [dirty.pop(qid) for qid in sorted(dirty)]
-            for queue in batch:
-                # Inline queue.head()/head_ready_at()/start_head() —
-                # this is the hottest loop in the engine.  The guards
-                # match head(): skip busy or empty queues.
-                pending = queue._pending
-                if queue._running is not None or not pending:
-                    continue
-                head = pending[0]
-                spec = head.spec
-                last_finish = queue.last_finish_time
-                if last_finish != _NEVER_FINISHED:
-                    ready_at = last_finish + spec.dispatch_gap_us
-                    if ready_at > horizon:
-                        # Intra-request bubble: the host has not
-                        # dispatched the next kernel yet; wake up when
-                        # it does.
-                        self._ensure_gap_event(queue, ready_at)
-                        continue
-                pending.popleft()
-                head.start_time = now
-                queue._running = head
-                # Annotate execution context for tracers (the queue
-                # mapping is gone by completion-callback time).
-                context = queue.context
-                head.traced_context_id = context.context_id
-                head.traced_context_limit = context.sm_limit
-                kind = spec.kind
-                if kind is KernelKind.SYNC or spec.base_duration_us == 0:
-                    self._complete_kernel(queue, head)
-                    progressing = True
-                else:
-                    if faults is not None:
-                        multiplier = faults.work_multiplier(head)
-                        if multiplier != 1.0:
-                            head.remaining_work = spec.base_duration_us * multiplier
-                    if kind is KernelKind.COMPUTE:
-                        self._add_running(head, context)
-                    else:  # H2D / D2H drain through the PCIe channel.
-                        self._running_memcpy.append(head)
-                        self._running_dirty = True
-                    started = True
-        if started or progressing:
-            # _maybe_rebalance, inlined (legacy never reaches here).
-            if self._running_dirty or self.record_timeline or self.validate:
-                self._rebalance()
-            else:
-                self._rebalances_skipped += 1
-                if self._completion_event is None and (
-                    self._running_compute or self._running_memcpy
-                ):
-                    self._accrue_busy_time()
-                    self._schedule_next_completion()
-
     def _add_running(self, kernel: KernelInstance, ctx: GPUContext) -> None:
         spec = kernel.spec
         token = self._spec_tokens.get(id(spec))
@@ -637,11 +492,13 @@ class SimEngine:
         self._sig_parts.append((ctx.context_id << 32) | token)
         self._running_dirty = True
 
-    def _dispatch_legacy(self) -> None:
-        """Pre-overhaul dispatch: full O(queues) scan per event.
+    # -- reference loop ------------------------------------------------
+    def _dispatch(self) -> None:
+        """Start every actionable queue head, then rebalance.
 
-        Kept (with the historical while-progressing fixpoint loop) as
-        the ``legacy`` benchmark baseline.
+        Scans every queue in creation order until no head changes (a
+        SYNC kernel completes at once and may expose the next head).
+        The batched loop swaps in :meth:`_dispatch_batched`.
         """
         self._dirty_queues.clear()
         started = False
@@ -684,7 +541,8 @@ class SimEngine:
         If an earlier-or-equal wake is already pending it is reused; a
         pending *later* wake (possible when a queue's head changes under
         preemption, e.g. REEF killing buffered kernels) is cancelled
-        rather than left to fire stale.
+        rather than left to fire stale.  The batched loop swaps in
+        :meth:`_ensure_gap_wake`.
         """
         pending = self._gap_events.get(queue.queue_id)
         if pending is not None:
@@ -700,116 +558,32 @@ class SimEngine:
             entry = self._gap_events.get(queue.queue_id)
             if entry is not None and entry[0] == ready_at:
                 del self._gap_events[queue.queue_id]
-            self._mark_ready(queue)
             self._dispatch()
-            # A gap expiry alone never changes the running set; only a
-            # dispatch that starts work does, and _dispatch rebalances
-            # then.  Legacy keeps its unconditional rebalance per event.
-            if self._legacy:
-                self._rebalance()
+            self._rebalance()
 
         event = self.schedule_at(ready_at, expire)
         self._gap_events[queue.queue_id] = (ready_at, event)
 
     def _maybe_rebalance(self) -> None:
-        """Rebalance only when the running-set membership changed.
+        """Re-rate after a retry or a fault changed the running set.
 
-        Rates depend solely on membership (specs + contexts), so with an
-        unchanged set the previous rates — and the pending completion
-        event — are still exact, and the whole allocation/interference
-        pipeline can be skipped.  Timeline recording and validate mode
-        force the full path to preserve their per-event semantics.
+        The reference loop re-rates unconditionally; the batched loop
+        swaps in :meth:`_maybe_rebalance_batched`, which skips the
+        rebalance when membership did not change.
         """
-        if (
-            self._running_dirty
-            or self._legacy
-            or self.record_timeline
-            or self.validate
-        ):
-            self._rebalance()
-            return
-        self._rebalances_skipped += 1
-        if self._completion_event is None and (
-            self._running_compute or self._running_memcpy
-        ):
-            # The previous completion tick consumed its event without
-            # finishing anything (epsilon miss): re-arm from current
-            # remaining work.
-            self._accrue_busy_time()
-            self._schedule_next_completion()
+        self._rebalance()
 
     def _rebalance(self) -> None:
         """Recompute rates for all running kernels and the next completion.
 
-        The fast (vectorized) branch applies memoized rates and computes
-        the earliest completion inline, so the completion event can be
-        re-armed without a second pass over the running set.  Recency is
-        only tracked once the memo is half full — below that nothing
-        will be evicted, so ``move_to_end`` on every hit would be pure
-        overhead.
+        Hardware-scheduler allocation → interference slowdowns →
+        ``KernelSpec.rate_at``, per kernel and unmemoized: the
+        arithmetic every fast path reproduces bit for bit.
         """
         self._rebalances += 1
         if self.now > self._busy_since:
             self._accrue_busy_time()
 
-        if self._fast_rates:
-            key = tuple(self._sig_parts)
-            cache = self._rebalance_cache
-            cached = cache.get(key)
-            if cached is not None:
-                self._rebalance_cache_hits += 1
-                if len(cache) >= _REBALANCE_CACHE_TRACK:
-                    cache.move_to_end(key)
-                fractions, rates, busy = cached
-            else:
-                fractions, rates, busy = self._compute_rates_vectorized()
-                cache[key] = (fractions, rates, busy)
-                if len(cache) > _REBALANCE_CACHE_SIZE:
-                    cache.popitem(last=False)
-
-            now = self.now
-            eta = math.inf
-            for kernel, sm, rate in zip(self._running_compute, fractions, rates):
-                kernel.current_sm_fraction = sm
-                kernel.current_rate = rate
-                if rate > 0:
-                    finish = now + kernel.remaining_work / rate
-                    if finish < eta:
-                        eta = finish
-            self._current_busy_fraction = busy
-
-            # Memcpy kernels share the PCIe channel (same as scalar).
-            if self._running_memcpy:
-                pcie_rates = self.pcie.rates(self._running_memcpy)
-                for kernel in self._running_memcpy:
-                    rate = pcie_rates.get(kernel.uid, 0.0)
-                    kernel.current_rate = rate
-                    kernel.current_sm_fraction = 0.0
-                    if rate > 0:
-                        finish = now + kernel.remaining_work / rate
-                        if finish < eta:
-                            eta = finish
-
-            self._running_dirty = False
-            if self.record_timeline:
-                self._record_segment_start()
-            if self._completion_event is not None:
-                self.cancel(self._completion_event)
-                self._completion_event = None
-            if eta != math.inf:
-                self._completion_event = self.schedule_at(
-                    eta, self._on_completion_tick
-                )
-            return
-
-        self._rebalance_scalar()
-        self._running_dirty = False
-        if self.record_timeline:
-            self._record_segment_start()
-        self._schedule_next_completion()
-
-    # -- reference (scalar) path ---------------------------------------
-    def _rebalance_scalar(self) -> None:
         # Compute-kernel SM allocation.
         allocations = self.hwsched.allocate(self._running_compute, self._queue_of)
         active = [a for a in allocations if a.sm_fraction > 0]
@@ -848,21 +622,112 @@ class SimEngine:
             kernel.current_rate = pcie_rates.get(kernel.uid, 0.0)
             kernel.current_sm_fraction = 0.0
 
-    # -- vectorized + memoized path ------------------------------------
-    def _compute_rates_vectorized(
+        self._running_dirty = False
+        if self.record_timeline:
+            self._record_segment_start()
+        self._schedule_next_completion()
+
+    def _check_invariants(self, allocations) -> None:
+        """Debug-mode physical invariants (``validate=True``).
+
+        * the GPU is never oversubscribed (sum of SM shares <= 1);
+        * no kernel exceeds its own demand or its context's limit;
+        * every execution rate lies in [0, 1] (no free speedups);
+        * remaining work never goes negative.
+        """
+        total = 0.0
+        for alloc in allocations:
+            kernel = alloc.kernel
+            total += alloc.sm_fraction
+            if alloc.sm_fraction > kernel.spec.sm_demand + 1e-9:
+                raise AssertionError(
+                    f"{kernel.name}: granted {alloc.sm_fraction:.3f} SMs "
+                    f"above demand {kernel.spec.sm_demand:.3f}"
+                )
+            limit = self._queue_of[kernel.uid].context.sm_limit
+            if alloc.sm_fraction > limit + 1e-9:
+                raise AssertionError(
+                    f"{kernel.name}: granted {alloc.sm_fraction:.3f} SMs "
+                    f"above context limit {limit:.3f}"
+                )
+            if kernel.remaining_work < -1e-9:
+                raise AssertionError(f"{kernel.name}: negative remaining work")
+        if total > 1.0 + 1e-6:
+            raise AssertionError(f"GPU oversubscribed: {total:.4f} SM fractions")
+        for kernel in self._running_compute:
+            if not 0.0 <= kernel.current_rate <= 1.0 + 1e-9:
+                raise AssertionError(
+                    f"{kernel.name}: rate {kernel.current_rate:.4f} out of [0, 1]"
+                )
+
+    def _schedule_next_completion(self) -> None:
+        if self._completion_event is not None:
+            self.cancel(self._completion_event)
+            self._completion_event = None
+        best_time = self._earliest_finish()
+        if math.isfinite(best_time):
+            self._completion_event = self.schedule_at(best_time, self._on_completion_tick)
+
+    def _on_completion_tick(self) -> None:
+        # Advances work to `now`, accrues utilization, resets _busy_since
+        # so the later _rebalance does not double-count the interval.
+        self._completion_event = None
+        self._accrue_busy_time()
+        # Finish threshold: completion times are floats; at large
+        # simulated times the residual work after advancing can be
+        # ~ulp(now) * rate and would never drain (the next event would
+        # round to the same instant).  Treat anything the kernel would
+        # clear within ~1 ulp of `now` (floored at a picosecond) as done.
+        time_eps = max(1e-9, 4.0 * math.ulp(self.now))
+        running_compute = self._running_compute
+        finished_compute = []
+        for k in running_compute:
+            threshold = k.current_rate * time_eps
+            if k.remaining_work <= (threshold if threshold > 1e-9 else 1e-9):
+                finished_compute.append(k)
+        finished_memcpy = []
+        if self._running_memcpy:
+            for k in self._running_memcpy:
+                threshold = k.current_rate * time_eps
+                if k.remaining_work <= (threshold if threshold > 1e-9 else 1e-9):
+                    finished_memcpy.append(k)
+        for kernel in finished_compute:
+            try:
+                index = running_compute.index(kernel)
+            except ValueError:
+                # Removed by a fault handler (kill/shed) earlier in this
+                # same sweep — nothing left to complete.
+                continue
+            del running_compute[index]
+            del self._running_ctx[index]
+            del self._sig_parts[index]
+            self._running_dirty = True
+            self._complete_kernel(self._queue_of[kernel.uid], kernel)
+        for kernel in finished_memcpy:
+            try:
+                self._running_memcpy.remove(kernel)
+            except ValueError:
+                continue
+            self._running_dirty = True
+            self._complete_kernel(self._queue_of[kernel.uid], kernel)
+        if self._epoch_hooks:
+            self._drain_epoch_hooks()
+        self._dispatch()
+        self._rebalance()
+
+    # -- batched loop ---------------------------------------------------
+    def _compute_rates(
         self,
     ) -> Tuple[Tuple[float, ...], Tuple[float, ...], float]:
-        """Allocation → slowdown → rate as array ops over the running set.
+        """Allocation → slowdown → rate over the running set (memo miss).
 
-        Reproduces ``_rebalance_scalar`` byte for byte: the water-filling
-        allocation follows the identical iteration and reduction order
-        (its arithmetic is inherently sequential), while the
-        interference slowdowns and SM-scaling rates — the per-kernel
-        arithmetic — are evaluated as numpy element-wise kernels.
-        Solo and same-level distinct-context pairs take
+        Reproduces the reference :meth:`_rebalance` byte for byte: the
+        water-filling allocation, the slowdowns and the SM-scaled rates
+        follow its iteration and reduction order, inlined into one
+        scalar pass.  Solo and same-level distinct-context pairs take
         :meth:`_rates_closed_form` first.  Returns per-kernel SM
-        fractions and rates aligned with
-        ``_running_compute``, plus the busy fraction.
+        fractions and rates aligned with ``_running_compute``, plus the
+        busy fraction.
         """
         running = self._running_compute
         contexts = self._running_ctx
@@ -885,7 +750,7 @@ class SimEngine:
         pairs = self.hwsched.allocate_fair_indexed(running, contexts)
 
         # Active subset (sm > 0) in allocation order, exactly the
-        # scalar path's `active` list and its busy-fraction reduction.
+        # reference path's `active` list and its busy-fraction reduction.
         busy = 0.0
         active = []
         for index, grant in pairs:
@@ -895,33 +760,7 @@ class SimEngine:
 
         fractions = [0.0] * n
         rates = [0.0] * n
-        if len(active) >= _VECTOR_MIN_ACTIVE:
-            specs = [running[i].spec for i, _ in active]
-            mem = np.array([s.mem_intensity for s in specs], dtype=np.float64)
-            restricted = np.fromiter(
-                (contexts[i].restricted for i, _ in active), dtype=bool, count=len(active)
-            )
-            grants = np.array([g for _, g in active], dtype=np.float64)
-            demand = np.array([s.sm_demand for s in specs], dtype=np.float64)
-            base = np.array([s.base_duration_us for s in specs], dtype=np.float64)
-            serial = np.array([s.serial_fraction for s in specs], dtype=np.float64)
-
-            slowdowns = self.interference.slowdowns_array(mem, restricted)
-
-            # KernelSpec.duration_at / rate_at, element-wise.
-            usable = np.minimum(grants, demand)
-            sm_slowdown = demand / usable
-            duration = base * (serial + (1.0 - serial) * sm_slowdown)
-            rate = base / duration / slowdowns
-
-            rate_list = rate.tolist()
-            for pos, (index, grant) in enumerate(active):
-                fractions[index] = grant
-                rates[index] = rate_list[pos]
-        elif active:
-            # Same arithmetic, scalar ops (identical IEEE rounding; the
-            # element-wise numpy kernels apply the same operations in
-            # the same order, so both branches agree bit for bit).
+        if active:
             model = self.interference
             # Explicit loops: same left-to-right accumulation as the
             # sum() builtins they replace, without the genexpr frames.
@@ -1014,72 +853,8 @@ class SimEngine:
         )
         return (g0, g1), rates, busy if busy < 1.0 else 1.0
 
-    # -- jit (numba) path ----------------------------------------------
-    def _compute_rates_jit(
-        self,
-    ) -> Tuple[Tuple[float, ...], Tuple[float, ...], float]:
-        """The rebalance miss path through the numba-compiled kernel.
-
-        Packs the running set into flat arrays and calls the compiled
-        ``rate_kernel`` (see ``_jit_rates.py``), whose arithmetic
-        mirrors ``_compute_rates_vectorized`` operation for operation.
-        Only reached when numba imported successfully.
-        """
-        running = self._running_compute
-        contexts = self._running_ctx
-        n = len(running)
-        if n == 0:
-            return (), (), 0.0
-        demand = np.empty(n, dtype=np.float64)
-        mem = np.empty(n, dtype=np.float64)
-        serial = np.empty(n, dtype=np.float64)
-        base = np.empty(n, dtype=np.float64)
-        limit = np.empty(n, dtype=np.float64)
-        priority = np.empty(n, dtype=np.int64)
-        cid = np.empty(n, dtype=np.int64)
-        restricted = np.empty(n, dtype=np.bool_)
-        for i in range(n):
-            spec = running[i].spec
-            ctx = contexts[i]
-            demand[i] = spec.sm_demand
-            mem[i] = spec.mem_intensity
-            serial[i] = spec.serial_fraction
-            base[i] = spec.base_duration_us
-            limit[i] = ctx.sm_limit
-            priority[i] = ctx.priority
-            cid[i] = ctx.context_id
-            restricted[i] = ctx.restricted
-        model = self.interference
-        fractions, rates, busy = self._jit_kernel(
-            demand,
-            mem,
-            serial,
-            base,
-            limit,
-            priority,
-            cid,
-            restricted,
-            model.kappa_unrestricted,
-            model.kappa_restricted,
-            model.gamma,
-            model.max_slowdown,
-        )
-        return tuple(fractions.tolist()), tuple(rates.tolist()), float(busy)
-
-    # -- epoch-batched (heapless completion/gap) path ------------------
-    def _epoch_view(self, n: int) -> np.ndarray:
-        """First ``n`` records of the reusable epoch array (grown 2x)."""
-        arr = self._epoch_arr
-        if arr is None or arr.shape[0] < n:
-            capacity = 16
-            while capacity < n:
-                capacity *= 2
-            arr = np.zeros(capacity, dtype=EPOCH_DTYPE)
-            self._epoch_arr = arr
-        return arr[:n]
-
     def _ensure_gap_wake(self, queue: DeviceQueue, ready_at: float) -> None:
-        """Batched-mode :meth:`_ensure_gap_event`: a dict entry, no heap.
+        """Batched-loop :meth:`_ensure_gap_event`: a dict entry, no heap.
 
         Same supersede semantics — an earlier-or-equal pending wake is
         reused, a later one is replaced — with the scheduled time
@@ -1140,7 +915,7 @@ class SimEngine:
 
     def _dispatch_batched(self) -> None:
         """:meth:`_dispatch` with gap wakes as pseudo-events and the
-        epoch rebalance at the tail (batched/jit modes only)."""
+        epoch rebalance at the tail."""
         started = False
         progressing = False
         dirty = self._dirty_queues
@@ -1209,9 +984,9 @@ class SimEngine:
             self._rearm_completion()
 
     def _rebalance_batched(self) -> None:
-        """:meth:`_rebalance`'s fast branch with the completion kept as
-        a pseudo-event: arming it is two stores and a seq draw instead
-        of a heap cancel + push."""
+        """:meth:`_rebalance` through the membership memo, with the
+        completion kept as a pseudo-event: arming it is two stores and
+        a seq draw instead of a heap cancel + push."""
         self._rebalances += 1
         if self.now > self._busy_since:
             self._accrue_busy_time()
@@ -1222,8 +997,8 @@ class SimEngine:
             # completion and its successor's gap wake): nothing to rate,
             # no completion to arm.  Skipping the memo probe here means
             # the empty set never counts as a "cache hit" — acceptable,
-            # since machinery counters are per-mode diagnostics, not
-            # part of the cross-mode identity contract.
+            # since machinery counters are per-loop diagnostics, not
+            # part of the cross-loop identity contract.
             self._current_busy_fraction = 0.0
             self._running_dirty = False
             if self.record_timeline:
@@ -1247,36 +1022,13 @@ class SimEngine:
 
         now = self.now
         eta = math.inf
-        running = self._running_compute
-        n = len(running)
-        if n >= _EPOCH_VECTOR_MIN:
-            # Structured-array epoch refresh: one vectorized ETA step,
-            # store-only python loops for the kernel attributes.
-            arr = self._epoch_view(n)
-            rem = arr["remaining"]
-            rate_col = arr["rate"]
-            eta_col = arr["eta"]
-            rem[:] = [k.remaining_work for k in running]
-            rate_col[:] = rates
-            positive = rate_col > 0.0
-            div = np.divide(
-                rem, rate_col, out=np.full(n, np.inf), where=positive
-            )
-            np.add(div, now, out=eta_col)
-            eta_min = eta_col.min()
-            if eta_min != np.inf:
-                eta = float(eta_min)
-            for kernel, sm, rate in zip(running, fractions, rates):
-                kernel.current_sm_fraction = sm
-                kernel.current_rate = rate
-        else:
-            for kernel, sm, rate in zip(running, fractions, rates):
-                kernel.current_sm_fraction = sm
-                kernel.current_rate = rate
-                if rate > 0:
-                    finish = now + kernel.remaining_work / rate
-                    if finish < eta:
-                        eta = finish
+        for kernel, sm, rate in zip(running, fractions, rates):
+            kernel.current_sm_fraction = sm
+            kernel.current_rate = rate
+            if rate > 0:
+                finish = now + kernel.remaining_work / rate
+                if finish < eta:
+                    eta = finish
         self._current_busy_fraction = busy
 
         if self._running_memcpy:
@@ -1305,23 +1057,9 @@ class SimEngine:
 
     def _rearm_completion(self) -> None:
         """Batched :meth:`_schedule_next_completion` (epsilon-miss re-arm)."""
-        best_time = math.inf
-        now = self.now
-        for kernel in self._running_compute:
-            rate = kernel.current_rate
-            if rate <= 0:
-                continue
-            eta = now + kernel.remaining_work / rate
-            if eta < best_time:
-                best_time = eta
-        for kernel in self._running_memcpy:
-            rate = kernel.current_rate
-            if rate <= 0:
-                continue
-            eta = now + kernel.remaining_work / rate
-            if eta < best_time:
-                best_time = eta
+        best_time = self._earliest_finish()
         if math.isfinite(best_time):
+            now = self.now
             delay = best_time - now
             if delay < 0.0:
                 delay = 0.0
@@ -1335,10 +1073,8 @@ class SimEngine:
 
         Advances every running kernel by the epoch (``_accrue_busy_time``
         and the finish sweep of ``_on_completion_tick`` fused into one
-        pass — scalar below ``_EPOCH_VECTOR_MIN`` kernels, a structured-
-        array step at or above it), completes what drained, re-dispatches
-        and re-rates.  Arithmetic and sweep order match the heap-driven
-        tick exactly.
+        pass), completes what drained, re-dispatches and re-rates.
+        Arithmetic and sweep order match the reference tick exactly.
         """
         self._completion_time = math.inf
         now = self.now
@@ -1351,42 +1087,22 @@ class SimEngine:
         finished_compute = []
         finished_memcpy = []
         if dt > 0:
-            n = len(running_compute)
-            advanced = n + len(memcpy)
+            advanced = len(running_compute) + len(memcpy)
             self._epoch_batches += 1
             self._epoch_kernels_advanced += advanced
             if advanced > self._epoch_max_batch:
                 self._epoch_max_batch = advanced
-            if n >= _EPOCH_VECTOR_MIN:
-                arr = self._epoch_view(n)
-                rem = arr["remaining"]
-                rate_col = arr["rate"]
-                rate_col[:] = [k.current_rate for k in running_compute]
-                rem[:] = [k.remaining_work for k in running_compute]
-                left = rem - rate_col * dt
-                left[left <= 0.0] = 0.0
-                threshold = rate_col * time_eps
-                np.maximum(threshold, 1e-9, out=threshold)
-                done = left <= threshold
-                rem[:] = left
-                for kernel, value in zip(running_compute, left.tolist()):
-                    kernel.remaining_work = value
-                if done.any():
-                    finished_compute = [
-                        running_compute[i] for i in np.nonzero(done)[0].tolist()
-                    ]
-            else:
-                for k in running_compute:
-                    rate = k.current_rate
-                    left = k.remaining_work - rate * dt
-                    if left <= 0.0:
-                        k.remaining_work = 0.0
+            for k in running_compute:
+                rate = k.current_rate
+                left = k.remaining_work - rate * dt
+                if left <= 0.0:
+                    k.remaining_work = 0.0
+                    finished_compute.append(k)
+                else:
+                    k.remaining_work = left
+                    threshold = rate * time_eps
+                    if left <= (threshold if threshold > 1e-9 else 1e-9):
                         finished_compute.append(k)
-                    else:
-                        k.remaining_work = left
-                        threshold = rate * time_eps
-                        if left <= (threshold if threshold > 1e-9 else 1e-9):
-                            finished_compute.append(k)
             for k in memcpy:
                 rate = k.current_rate
                 left = k.remaining_work - rate * dt
@@ -1442,120 +1158,6 @@ class SimEngine:
             ):
                 self._accrue_busy_time()
                 self._rearm_completion()
-
-    def _check_invariants(self, allocations) -> None:
-        """Debug-mode physical invariants (``validate=True``).
-
-        * the GPU is never oversubscribed (sum of SM shares <= 1);
-        * no kernel exceeds its own demand or its context's limit;
-        * every execution rate lies in [0, 1] (no free speedups);
-        * remaining work never goes negative.
-        """
-        total = 0.0
-        for alloc in allocations:
-            kernel = alloc.kernel
-            total += alloc.sm_fraction
-            if alloc.sm_fraction > kernel.spec.sm_demand + 1e-9:
-                raise AssertionError(
-                    f"{kernel.name}: granted {alloc.sm_fraction:.3f} SMs "
-                    f"above demand {kernel.spec.sm_demand:.3f}"
-                )
-            limit = self._queue_of[kernel.uid].context.sm_limit
-            if alloc.sm_fraction > limit + 1e-9:
-                raise AssertionError(
-                    f"{kernel.name}: granted {alloc.sm_fraction:.3f} SMs "
-                    f"above context limit {limit:.3f}"
-                )
-            if kernel.remaining_work < -1e-9:
-                raise AssertionError(f"{kernel.name}: negative remaining work")
-        if total > 1.0 + 1e-6:
-            raise AssertionError(f"GPU oversubscribed: {total:.4f} SM fractions")
-        for kernel in self._running_compute:
-            if not 0.0 <= kernel.current_rate <= 1.0 + 1e-9:
-                raise AssertionError(
-                    f"{kernel.name}: rate {kernel.current_rate:.4f} out of [0, 1]"
-                )
-
-    def _schedule_next_completion(self) -> None:
-        if self._completion_event is not None:
-            self.cancel(self._completion_event)
-            self._completion_event = None
-        best_time = math.inf
-        now = self.now
-        for kernel in self._running_compute:
-            rate = kernel.current_rate
-            if rate <= 0:
-                continue
-            eta = now + kernel.remaining_work / rate
-            if eta < best_time:
-                best_time = eta
-        for kernel in self._running_memcpy:
-            rate = kernel.current_rate
-            if rate <= 0:
-                continue
-            eta = now + kernel.remaining_work / rate
-            if eta < best_time:
-                best_time = eta
-        if math.isfinite(best_time):
-            self._completion_event = self.schedule_at(best_time, self._on_completion_tick)
-
-    def _on_completion_tick(self) -> None:
-        # Advances work to `now`, accrues utilization, resets _busy_since
-        # so the later _rebalance does not double-count the interval.
-        self._completion_event = None
-        self._accrue_busy_time()
-        # Finish threshold: completion times are floats; at large
-        # simulated times the residual work after advancing can be
-        # ~ulp(now) * rate and would never drain (the next event would
-        # round to the same instant).  Treat anything the kernel would
-        # clear within ~1 ulp of `now` (floored at a picosecond) as done.
-        time_eps = max(1e-9, 4.0 * math.ulp(self.now))
-        running_compute = self._running_compute
-        finished_compute = []
-        for k in running_compute:
-            threshold = k.current_rate * time_eps
-            if k.remaining_work <= (threshold if threshold > 1e-9 else 1e-9):
-                finished_compute.append(k)
-        finished_memcpy = []
-        if self._running_memcpy:
-            for k in self._running_memcpy:
-                threshold = k.current_rate * time_eps
-                if k.remaining_work <= (threshold if threshold > 1e-9 else 1e-9):
-                    finished_memcpy.append(k)
-        for kernel in finished_compute:
-            try:
-                index = running_compute.index(kernel)
-            except ValueError:
-                # Removed by a fault handler (kill/shed) earlier in this
-                # same sweep — nothing left to complete.
-                continue
-            del running_compute[index]
-            del self._running_ctx[index]
-            del self._sig_parts[index]
-            self._running_dirty = True
-            self._complete_kernel(self._queue_of[kernel.uid], kernel)
-        for kernel in finished_memcpy:
-            try:
-                self._running_memcpy.remove(kernel)
-            except ValueError:
-                continue
-            self._running_dirty = True
-            self._complete_kernel(self._queue_of[kernel.uid], kernel)
-        if self._epoch_hooks:
-            self._drain_epoch_hooks()
-        self._dispatch()
-        # _maybe_rebalance, inlined: membership is dirty here unless
-        # the dispatch above already rebalanced (or the tick was an
-        # epsilon miss, which the re-arm branch repairs).
-        if self._running_dirty or self._legacy or self.record_timeline or self.validate:
-            self._rebalance()
-        else:
-            self._rebalances_skipped += 1
-            if self._completion_event is None and (
-                self._running_compute or self._running_memcpy
-            ):
-                self._accrue_busy_time()
-                self._schedule_next_completion()
 
     def _complete_kernel(self, queue: DeviceQueue, kernel: KernelInstance) -> None:
         # queue.finish_running + _mark_ready, inlined (hot: once per
@@ -1734,8 +1336,8 @@ class SimEngine:
 
         Hooks drain inside the completion tick, after the finish sweep
         and before re-dispatch — i.e. at a kernel/squad boundary, never
-        mid-kernel — in both the heap-driven and epoch-batched loops,
-        so preemption timing is mode-independent.  If nothing is
+        mid-kernel — in both the reference and epoch-batched loops,
+        so preemption timing is loop-independent.  If nothing is
         running (idle GPU: no completion tick will ever fire), a
         zero-delay event drains the hooks instead.
         """
@@ -1847,6 +1449,19 @@ class SimEngine:
     # ------------------------------------------------------------------
     # Utilization accounting
     # ------------------------------------------------------------------
+    def _earliest_finish(self) -> float:
+        """Earliest projected finish over the running sets (inf if idle)."""
+        best_time = math.inf
+        now = self.now
+        for kernel in itertools.chain(self._running_compute, self._running_memcpy):
+            rate = kernel.current_rate
+            if rate <= 0:
+                continue
+            eta = now + kernel.remaining_work / rate
+            if eta < best_time:
+                best_time = eta
+        return best_time
+
     def _accrue_busy_time(self) -> None:
         # Advance remaining work to 'now' before rates change
         # (_advance_work inlined: this runs on every event).

@@ -32,9 +32,9 @@ from .stream import DeviceQueue
 #: Water-fill tolerances, shared by every allocation path: a residual
 #: capacity at or below ``CAPACITY_EPS`` counts as exhausted, and a
 #: demand within ``SATISFIED_EPS`` of its fair share counts as
-#: satisfied.  ``repro.gpusim._jit_rates`` compiles these same values
-#: into its numba water-fill (numba freezes globals at compile time),
-#: so the interpreted and jitted allocations stay bit-identical.
+#: satisfied.  The engine's closed-form solo/pair rates
+#: (``SimEngine._rates_closed_form``) apply the same two constants, so
+#: every allocation path stays bit-identical to :func:`waterfill`.
 CAPACITY_EPS = 1e-12
 SATISFIED_EPS = 1e-15
 
@@ -166,8 +166,8 @@ class HardwareScheduler:
     ) -> List[Tuple[int, float]]:
         """Fair allocation as ``(running_index, grant)`` pairs.
 
-        Object-free variant of :meth:`allocate` for the engine's
-        vectorized rebalance: ``contexts[i]`` is the context of
+        Object-free variant of :meth:`allocate` for the batched
+        engine's rate computation: ``contexts[i]`` is the context of
         ``running[i]``, and the returned pairs follow the identical
         allocation order (priority level descending, then context
         first-appearance order, then running order within a context)

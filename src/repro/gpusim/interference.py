@@ -37,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class InterferenceModel:
@@ -92,26 +90,6 @@ class InterferenceModel:
             slowdown = 1.0 + kappa * (pressure ** self.gamma) * min(1.0, m)
             result.append(min(self.max_slowdown, slowdown))
         return result
-
-    def slowdowns_array(self, mem, restricted):
-        """Vectorized :meth:`slowdowns` over numpy arrays.
-
-        ``mem`` is a float64 array of memory intensities, ``restricted``
-        a bool array; returns a float64 slowdown array in the same
-        order.  Bit-identical to the scalar path: the total intensity
-        is reduced with Python's left-to-right ``sum`` and every
-        per-kernel operation is element-wise in the scalar's evaluation
-        order.
-        """
-        total_intensity = sum(mem.tolist())
-        num_unrestricted = int(np.count_nonzero(~restricted))
-        pressure = np.minimum(1.0, np.maximum(0.0, total_intensity - mem))
-        scattered_with_company = (~restricted) & (num_unrestricted >= 2)
-        kappa = np.where(
-            scattered_with_company, self.kappa_unrestricted, self.kappa_restricted
-        )
-        slowdown = 1.0 + kappa * (pressure ** self.gamma) * np.minimum(1.0, mem)
-        return np.minimum(self.max_slowdown, slowdown)
 
     def solo_slowdown(self, mem_intensity: float) -> float:
         """A kernel running alone never interferes with itself."""

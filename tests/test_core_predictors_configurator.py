@@ -159,9 +159,9 @@ class TestCompositions:
         profiles = {x.app_id: profiler.profile(x) for x in (a, b, c)}
         determiner = ExecutionConfigDeterminer(BlessConfig(), mode="legacy")
         assert determiner._enumerate_legacy(squad, profiles, ["a", "b", "c"], 2) is None
-        pruned = ExecutionConfigDeterminer(BlessConfig(), mode="scalar")
-        assert pruned._enumerate_pruned(
-            pruned._stack_matrix(squad, profiles, ["a", "b", "c"]),
+        vectorized = ExecutionConfigDeterminer(BlessConfig())
+        assert vectorized._enumerate_vectorized(
+            vectorized._stack_matrix(squad, profiles, ["a", "b", "c"]),
             ["a", "b", "c"],
             2,
         ) is None
@@ -220,6 +220,10 @@ class TestDeterminer:
     def test_empty_squad_rejected(self):
         with pytest.raises(ValueError):
             ExecutionConfigDeterminer(BlessConfig()).determine(KernelSquad(), {})
+
+    def test_retired_search_mode_rejected(self):
+        with pytest.raises(ValueError, match="'vectorized', 'legacy'"):
+            ExecutionConfigDeterminer(BlessConfig(), mode="scalar")
 
     def test_spatial_chosen_for_saturating_pair(self, toy_setup):
         squad, profiles = toy_setup

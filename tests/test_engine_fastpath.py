@@ -1,9 +1,10 @@
 """Engine fast-path features added by the hot-path overhaul.
 
-Covers: engine modes (legacy/scalar/vectorized equivalence), batched
-kernel launch, the gap-event supersede fix (stale events must be
-cancelled, not leaked into the heap), lazy-cancel heap compaction, the
-bounded timeline ring buffer, and the surfaced engine counters.
+Covers: the two engine loops (``batched`` byte-identical to the
+``reference`` oracle), batched kernel launch, the gap-event supersede
+fix (stale events must be cancelled, not leaked into the heap),
+lazy-cancel heap compaction, the bounded timeline ring buffer, and the
+surfaced engine counters.
 """
 
 import pytest
@@ -63,8 +64,26 @@ class TestEngineModes:
         assert default_engine_mode() in ENGINE_MODES
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_MODE", "scalar")
-        assert default_engine_mode() == "scalar"
+        monkeypatch.setenv("REPRO_ENGINE_MODE", "reference")
+        assert default_engine_mode() == "reference"
+
+    def test_env_selects_loop(self, engine_mode, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_MODE", engine_mode)
+        engine, _ = make_engine()
+        assert engine.mode == engine_mode
+        assert engine._batched == (engine_mode == "batched")
+
+    @pytest.mark.parametrize("retired", ["legacy", "jit", "vectorized", "scalar"])
+    def test_retired_mode_names_rejected(self, retired, monkeypatch):
+        """Mode names from before the two-loop engine fail loudly and
+        name the accepted values, from the environment and the ctor."""
+        with pytest.raises(ValueError, match="'batched', 'reference'"):
+            make_engine(mode=retired)
+        monkeypatch.setenv("REPRO_ENGINE_MODE", retired)
+        with pytest.raises(ValueError, match="REPRO_ENGINE_MODE.*'batched', 'reference'"):
+            default_engine_mode()
+        with pytest.raises(ValueError, match="'batched', 'reference'"):
+            make_engine()
 
     def test_unknown_env_mode_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_MODE", "warp9")
@@ -76,18 +95,7 @@ class TestEngineModes:
             make_engine(mode="warp9")
 
     def test_modes_bit_identical(self):
-        reference, ref_now = run_mixed_workload("legacy")
-        for mode in ("scalar", "vectorized", "batched", "jit"):
-            finished, now = run_mixed_workload(mode)
-            assert finished == reference, f"mode {mode} diverged"
-            assert now == ref_now
-
-    def test_jit_mode_never_fails_without_numba(self):
-        # mode="jit" silently falls back to the interpreted batched
-        # path when numba is absent — constructing the engine must not
-        # raise either way.
-        engine, _ = make_engine(mode="jit")
-        assert engine.mode == "jit"
+        assert run_mixed_workload("batched") == run_mixed_workload("reference")
 
 
 def run_faulty_switching_workload(
@@ -110,10 +118,11 @@ def run_faulty_switching_workload(
     like the harness's squad switches, so the whole history is one
     deterministic event sequence.  ``layout`` bonds the queues:
     ``distinct`` gives each queue its own context, ``shared`` puts
-    both queues in the survivor context, and ``three`` adds a third
-    queue sharing the survivor context, so running sets reach three
-    kernels.  Returns every observable the modes must agree on byte
-    for byte.
+    both queues in the survivor context, ``three`` adds a third queue
+    sharing the survivor context, so running sets reach three kernels,
+    and ``wide`` spreads nine queues over the two contexts, so running
+    sets reach nine.  Returns every observable the modes must agree on
+    byte for byte.
     """
     plan = FaultPlan(
         seed=fault_seed, kernel_failure_rate=failure_rate, max_retries=2
@@ -132,6 +141,7 @@ def run_faulty_switching_workload(
         "distinct": contexts,
         "shared": [contexts[1], contexts[1]],
         "three": contexts + [contexts[1]],
+        "wide": contexts * 4 + [contexts[1]],
     }[layout]
     queues = [engine.create_queue(ctx) for ctx in bonded]
     finished = []
@@ -204,7 +214,7 @@ context_limit = st.sampled_from([0.3, 0.5, 0.8, 1.0])
 
 
 class TestEpochBatchingProperty:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         kernel_params=st.lists(kernel_param, min_size=1, max_size=5),
         failure_rate=st.sampled_from([0.0, 0.2, 0.6]),
@@ -213,9 +223,9 @@ class TestEpochBatchingProperty:
         second_wave=st.lists(kernel_param, min_size=0, max_size=3),
         limits=st.tuples(context_limit, context_limit),
         priorities=st.tuples(st.sampled_from([0, 1]), st.sampled_from([0, 1])),
-        layout=st.sampled_from(["distinct", "shared", "three"]),
+        layout=st.sampled_from(["distinct", "shared", "three", "wide"]),
     )
-    def test_batched_equals_scalar_and_legacy(
+    def test_batched_equals_reference(
         self,
         kernel_params,
         failure_rate,
@@ -227,22 +237,23 @@ class TestEpochBatchingProperty:
         layout,
     ):
         """Epoch-batched advancement and the closed-form solo/pair rates
-        are byte-identical to the reference modes across random fault
+        are byte-identical to the reference loop across random fault
         plans, squad switches, context limits and priorities, and
         running sets on both sides of the closed-form boundary (pairs
-        in one context or at two priorities, three-kernel sets)."""
+        in one context or at two priorities, three- and nine-kernel
+        sets)."""
         args = (kernel_params, failure_rate, fault_seed, switch_at, second_wave,
                 limits, priorities, layout)
-        reference = run_faulty_switching_workload("scalar", *args)
-        for mode in ("legacy", "vectorized", "batched", "jit"):
-            assert run_faulty_switching_workload(mode, *args) == reference, mode
+        assert run_faulty_switching_workload(
+            "batched", *args
+        ) == run_faulty_switching_workload("reference", *args)
 
 
 class TestLaunchBatch:
     def test_batch_equivalent_to_single_launches(self):
         specs = [compute(name=f"k{i}", dur=10.0 + i) for i in range(4)]
 
-        engine_a, registry_a = make_engine()
+        engine_a, registry_a = make_engine(mode="batched")
         queue_a = engine_a.create_queue(
             registry_a.create("a", 1.0, charge_memory=False)
         )
@@ -254,7 +265,7 @@ class TestLaunchBatch:
             )
         engine_a.run()
 
-        engine_b, registry_b = make_engine()
+        engine_b, registry_b = make_engine(mode="batched")
         queue_b = engine_b.create_queue(
             registry_b.create("a", 1.0, charge_memory=False)
         )
@@ -297,13 +308,13 @@ class TestLaunchBatch:
 
 
 class TestGapEventSupersede:
-    # These tests pin mode="vectorized": they assert on the *heap*
-    # mechanics of gap wakes, which batched mode replaces with
+    # These tests pin mode="reference": they assert on the *heap*
+    # mechanics of gap wakes, which the batched loop replaces with
     # out-of-heap pseudo-events (covered by TestBatchedGapWakes).
     def test_superseded_wake_is_cancelled(self):
         """Regression: a later pending wake must not leak when a tighter
         gap replaces it — the stale event is cancelled in the heap."""
-        engine, registry = make_engine(mode="vectorized")
+        engine, registry = make_engine(mode="reference")
         queue = engine.create_queue(registry.create("a", 1.0, charge_memory=False))
         engine._ensure_gap_event(queue, 100.0)
         assert engine.heap_size == 1
@@ -316,7 +327,7 @@ class TestGapEventSupersede:
         assert engine.now == pytest.approx(50.0)
 
     def test_earlier_pending_wake_is_reused(self):
-        engine, registry = make_engine(mode="vectorized")
+        engine, registry = make_engine(mode="reference")
         queue = engine.create_queue(registry.create("a", 1.0, charge_memory=False))
         engine._ensure_gap_event(queue, 50.0)
         engine._ensure_gap_event(queue, 100.0)
@@ -324,7 +335,7 @@ class TestGapEventSupersede:
         assert engine.counters["gap_events_superseded"] == 0
 
     def test_repeated_supersede_does_not_grow_heap_unboundedly(self):
-        engine, registry = make_engine(mode="vectorized")
+        engine, registry = make_engine(mode="reference")
         queue = engine.create_queue(registry.create("a", 1.0, charge_memory=False))
         deadline = 100_000.0
         for step in range(500):

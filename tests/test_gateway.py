@@ -341,13 +341,11 @@ class TestCompositeBaselinesWithGateway:
 
 
 class TestNoGatewayByteIdentity:
-    @pytest.mark.parametrize(
-        "mode", ["batched", "jit", "vectorized", "scalar", "legacy"]
-    )
-    def test_engine_modes_unchanged(self, mode, monkeypatch):
+    def test_engine_modes_unchanged(self, engine_mode, monkeypatch):
         apps = symmetric_pair("R50")
+        monkeypatch.delenv("REPRO_ENGINE_MODE", raising=False)
         reference = BlessRuntime().serve(bind_load(apps, "A", requests=6))
-        monkeypatch.setenv("REPRO_ENGINE_MODE", mode)
+        monkeypatch.setenv("REPRO_ENGINE_MODE", engine_mode)
         result = BlessRuntime().serve(bind_load(apps, "A", requests=6))
         assert fingerprint(result, semantic_only=True) == fingerprint(
             reference, semantic_only=True

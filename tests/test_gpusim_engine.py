@@ -5,6 +5,7 @@ import pytest
 from repro.gpusim.context import ContextRegistry
 from repro.gpusim.device import GPUDevice, GPUSpec
 from repro.gpusim.engine import SimEngine
+from repro.gpusim.hwsched import Allocation
 from repro.gpusim.kernel import KernelInstance, KernelKind, KernelSpec
 
 
@@ -254,3 +255,52 @@ class TestEventMachinery:
         engine.schedule(1.0, lambda: order.append("second"))
         engine.run()
         assert order == ["first", "second"]
+
+
+class TestValidateMode:
+    """``validate=True`` and the fifo policy run the reference loop,
+    which checks the physical invariants on every rebalance."""
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"validate": True}, {"hw_policy": "fifo"}], ids=["validate", "fifo"]
+    )
+    def test_runs_reference_loop_under_default_mode(self, kwargs, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE_MODE", raising=False)
+        engine, registry = make_engine(**kwargs)
+        assert engine.mode == "batched"
+        assert not engine._batched
+        queue = engine.create_queue(registry.create("a", 0.5, charge_memory=False))
+        engine.launch(KernelInstance(compute(dur=10.0)), queue)
+        engine.launch(KernelInstance(compute(dur=10.0)), queue)
+        engine.run()
+        assert engine.kernels_completed == 2
+        # Epoch ticks and skipped rebalances exist only in the batched loop.
+        assert engine.counters["epoch_batches"] == 0
+        assert engine.counters["rebalances_skipped"] == 0
+
+    def over_granting_engine(self, monkeypatch, validate):
+        # mode="batched" with validate still reaches hwsched.allocate,
+        # through the reference loop; without validate only the
+        # reference mode does.
+        mode = "batched" if validate else "reference"
+        engine, registry = make_engine(mode=mode, validate=validate)
+        monkeypatch.setattr(
+            engine.hwsched,
+            "allocate",
+            lambda running, queue_of: [
+                Allocation(k, k.spec.sm_demand + 0.1) for k in running
+            ],
+        )
+        queue = engine.create_queue(registry.create("a", 1.0, charge_memory=False))
+        engine.launch(KernelInstance(compute(demand=0.5)), queue)
+        return engine
+
+    def test_over_grant_raises(self, monkeypatch):
+        engine = self.over_granting_engine(monkeypatch, validate=True)
+        with pytest.raises(AssertionError, match="above demand 0.500"):
+            engine.run()
+
+    def test_over_grant_unchecked_without_validate(self, monkeypatch):
+        engine = self.over_granting_engine(monkeypatch, validate=False)
+        engine.run()
+        assert engine.kernels_completed == 1
