@@ -253,10 +253,9 @@ class SharingSystem(abc.ABC):
 
         self._result.makespan_us = self.engine.now
         self._result.utilization = self.engine.utilization()
-        # End-of-run tallies flow through the metrics registry; the
-        # legacy_extras() shim reproduces the historical extras keys
-        # (engine_*, fault_*) byte-identically for golden files.
-        self.obs.registry.import_mapping("engine", self.engine.counters)
+        # End-of-run tallies of the simulated system flow through the
+        # metrics registry into extras.  The engine's own counters are
+        # host machinery and stay on ``self.engine.counters``.
         if self._gateway is not None:
             # slo/* gauges map to slo_* extras via the legacy shim; all
             # additive, so cluster/epoch merges sum them exactly.

@@ -47,8 +47,7 @@ class MIGSystem(SharingSystem):
                 )
             )
         # Slices of ONE physical GPU: merge with num_slots=1.  The merge
-        # layer carries every sub-engine's extras (previously only the
-        # engine_* counters survived, dropping the fault accounting).
+        # sums every slice's extras, the fault accounting included.
         merged = ServingResult.merge(results, system=self.name, num_slots=1)
         merged.extras["slices"] = float(
             sum(instance.compute_slices for instance in instances)

@@ -113,12 +113,14 @@ def result_metrics(result: ServingResult) -> Dict[str, float]:
     Non-finite values (an empty run's NaN mean) are dropped — sqlite
     would store NaN as NULL and break the lossless round-trip contract.
     The ``extras`` counters keep their existing names (``fault_*``,
-    ``config_cache_*``, ``engine_*``, ``slo_*``), so cluster-merged
-    results carry the ``completed + shed == arrived`` accounting into
-    the catalog.  When a serving gateway ran (``slo_*`` extras
-    present), two derived headline metrics are added for the
-    latency-critical class: ``slo_attainment`` (deadline hits over
-    arrivals — gate-shed and fault-shed requests count against
+    ``slo_*``, ``cluster_*`` and the runtime's bare ``squads``-style
+    counts), so cluster-merged results carry the
+    ``completed + shed == arrived`` accounting into the catalog.  They
+    are all simulated outcomes; host-side engine and cache counters are
+    not in ``extras`` and so not in the catalog.  When a serving gateway
+    ran (``slo_*`` extras present), two derived headline metrics are
+    added for the latency-critical class: ``slo_attainment`` (deadline
+    hits over arrivals — gate-shed and fault-shed requests count against
     attainment, matching the SLO-attainment figures of serving papers)
     and ``deadline_miss_rate`` (misses over completions).
     """

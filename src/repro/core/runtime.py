@@ -427,9 +427,11 @@ class BlessRuntime(SharingSystem):
     def serve(self, bindings):  # type: ignore[override]
         result = super().serve(bindings)
         # Runtime tallies flow through the metrics registry; the
-        # ``bless/`` namespace maps to the historical bare extras keys
-        # and ``config_cache/`` to ``config_cache_*`` via the shim, so
-        # the extras schema (and the golden files) stay byte-identical.
+        # ``bless/`` namespace maps to bare extras keys.  The counts are
+        # additive, so merged results sum them (a reader derives kernels
+        # per squad as ``squad_kernels / squads``); the two context-memory
+        # values are gauges.  The decision cache's hit/miss stats are host
+        # machinery and stay on ``self.determiner.cache_stats``.
         reg = self.obs.registry
         reg.gauge("bless/squads").set(float(self._squad_count))
         reg.gauge("bless/spatial_squads").set(float(self._spatial_squads))
@@ -442,12 +444,6 @@ class BlessRuntime(SharingSystem):
         reg.gauge("bless/oom_fallbacks").set(float(self.manager.oom_fallbacks))
         if self.fault_injector is not None:
             reg.gauge("bless/profile_stale").set(float(self._profiles_stale))
-        if self._squad_count:
-            reg.gauge("bless/kernels_per_squad").set(
-                self._squad_kernel_total / self._squad_count
-            )
-        cache_stats = self.determiner.cache_stats
-        if cache_stats is not None:
-            reg.import_mapping("config_cache", cache_stats.as_dict())
+        reg.gauge("bless/squad_kernels").set(float(self._squad_kernel_total))
         result.extras.update(self.obs.legacy_extras())
         return result

@@ -52,8 +52,10 @@ Both loops drop cancelled heap events lazily when popped, and rebuild
 the heap in place once cancelled events outnumber half of it.
 
 ``SimEngine.counters`` exposes the event/rebalance/epoch/compaction
-tallies; serving harnesses surface them in ``ServingResult.extras``
-under ``engine_*`` and the results catalog ingests them per run.
+tallies.  They count the host loop's own work, which differs between
+the two loops by design, so they stay on the engine: they are not part
+of ``ServingResult.extras``, the results catalog or the golden files.
+perfbench's traced mode reads them as its ``gpusim.*`` counts.
 """
 
 from __future__ import annotations
@@ -276,7 +278,7 @@ class SimEngine:
         self._kernels_failed = 0
         self._kernels_retried = 0
         self._kernels_killed = 0
-        # Hot-path diagnostics (surfaced as ServingResult engine_* extras).
+        # Hot-path diagnostics (host machinery, read via ``counters``).
         self._events_processed = 0
         self._rebalances = 0
         self._rebalances_skipped = 0
@@ -284,10 +286,8 @@ class SimEngine:
         self._heap_compactions = 0
         self._peak_heap_size = 0
         self._gap_events_superseded = 0
-        # Epoch-batched advance tallies (batched loop).
+        # Epoch-batched advance tally (batched loop).
         self._epoch_batches = 0
-        self._epoch_kernels_advanced = 0
-        self._epoch_max_batch = 0
         if self._batched:
             # Route the shared entry points (launch visibility, fault
             # teardown, retries) into the epoch-batched loop without a
@@ -1087,11 +1087,7 @@ class SimEngine:
         finished_compute = []
         finished_memcpy = []
         if dt > 0:
-            advanced = len(running_compute) + len(memcpy)
             self._epoch_batches += 1
-            self._epoch_kernels_advanced += advanced
-            if advanced > self._epoch_max_batch:
-                self._epoch_max_batch = advanced
             for k in running_compute:
                 rate = k.current_rate
                 left = k.remaining_work - rate * dt
@@ -1529,8 +1525,6 @@ class SimEngine:
             "rebalances_skipped": self._rebalances_skipped,
             "rebalance_cache_hits": self._rebalance_cache_hits,
             "epoch_batches": self._epoch_batches,
-            "epoch_kernels_advanced": self._epoch_kernels_advanced,
-            "epoch_max_batch": self._epoch_max_batch,
             "heap_compactions": self._heap_compactions,
             "peak_heap_size": self._peak_heap_size,
             "gap_events_superseded": self._gap_events_superseded,

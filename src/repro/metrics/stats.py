@@ -25,8 +25,10 @@ class CacheStats:
     """Hit/miss accounting for a memoization cache.
 
     Used by the execution-configuration cache (``repro.core.config_cache``)
-    and surfaced in ``ServingResult.extras`` so serving runs report how
-    much of the §4.4 search the squad-signature cache absorbed.
+    and read from ``ExecutionConfigDeterminer.cache_stats``.  It is host
+    machinery, not a simulated outcome, so it stays out of
+    ``ServingResult.extras``: how a cache was shared must not change a
+    result.
     """
 
     hits: int = 0
@@ -45,28 +47,6 @@ class CacheStats:
         if lookups == 0:
             return 0.0
         return self.hits / lookups
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Combine counters from another cache (e.g. across GPUs)."""
-        return CacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-            invalidations=self.invalidations + other.invalidations,
-        )
-
-    def as_dict(self, prefix: str = "") -> Dict[str, float]:
-        """Flatten to float-valued counters for ``ServingResult.extras``."""
-        return {
-            f"{prefix}hits": float(self.hits),
-            f"{prefix}misses": float(self.misses),
-            f"{prefix}evictions": float(self.evictions),
-            f"{prefix}invalidations": float(self.invalidations),
-            f"{prefix}hit_rate": self.hit_rate,
-        }
-
-    def reset(self) -> None:
-        self.hits = self.misses = self.evictions = self.invalidations = 0
 
 
 @dataclass
@@ -248,9 +228,9 @@ class ServingResult:
           so merged output is reproducible byte for byte);
         * ``extras`` counters are **summed** — this is what keeps the
           ``completed + shed == arrived`` fault-accounting invariant
-          true at cluster level (`FaultStats`/`CacheStats` counters are
-          all additive); derived ``*hit_rate`` keys are recomputed from
-          their merged ``hits``/``misses`` siblings;
+          true at cluster level.  Every extras value is meant to be
+          additive: a ratio is stored as its numerator and denominator
+          (``squad_kernels`` and ``squads``) and divided by the reader;
         * ``utilization`` is busy-time over capacity: each sub-result
           contributes ``utilization * makespan_us * weight`` busy
           GPU-microseconds (``weight`` = how many GPUs it represents,
@@ -307,17 +287,6 @@ class ServingResult:
             busy += result.utilization * result.makespan_us * weight
             for key, value in result.extras.items():
                 merged.extras[key] = merged.extras.get(key, 0.0) + value
-        for key in merged.extras:
-            if key.endswith("hit_rate"):
-                prefix = key[: -len("hit_rate")]
-                lookups = merged.extras.get(prefix + "hits", 0.0) + merged.extras.get(
-                    prefix + "misses", 0.0
-                )
-                merged.extras[key] = (
-                    merged.extras.get(prefix + "hits", 0.0) / lookups
-                    if lookups > 0
-                    else 0.0
-                )
         merged.makespan_us = makespan
         merged.utilization = (
             min(1.0, busy / (makespan * num_slots)) if makespan > 0 else 0.0

@@ -1,12 +1,15 @@
 """A namespaced metrics registry for serving runs.
 
 One :class:`MetricsRegistry` lives for one ``serve()`` and replaces the
-historical scatter of ad-hoc ``engine_*`` / ``config_cache_*`` /
-``fault_*`` entries in ``ServingResult.extras``: every layer registers
-its counters, gauges, and histograms under a slash-namespaced metric
-name (``engine/events_processed``, ``bless/squads``,
-``latency/request_us``), and the harness snapshots the registry once at
-the end of the run.
+historical scatter of ad-hoc ``fault_*`` / ``slo_*`` entries in
+``ServingResult.extras``: every layer registers its counters, gauges,
+and histograms under a slash-namespaced metric name
+(``fault/shed_requests``, ``bless/squads``, ``latency/request_us``),
+and the harness snapshots the registry once at the end of the run.
+Only simulated outcomes are registered; host-side machinery (the
+engine's event counters, the decision cache's hit rate) stays on the
+objects that own it (``SimEngine.counters``,
+``ExecutionConfigDeterminer.cache_stats``).
 
 Two snapshot views exist:
 
@@ -15,10 +18,8 @@ Two snapshot views exist:
   plus ``<name>/count`` and ``<name>/sum`` (Prometheus-style);
 * :meth:`MetricsRegistry.legacy_extras` — the **compatibility shim**:
   scalar metrics only, renamed to the historical ``extras`` keys
-  (``engine/x`` → ``engine_x``, ``fault/x`` → ``fault_x``,
-  ``bless/x`` → ``x``), in registration order.  Golden result files
-  predate the registry, so this view is byte-identical to what the
-  pre-registry harness wrote.
+  (``fault/x`` → ``fault_x``, ``slo/x`` → ``slo_x``, ``bless/x`` →
+  ``x``), in registration order.
 
 Metric mutation is deterministic (no wall clock, no sampling), so two
 same-seed runs produce identical snapshots.
@@ -177,9 +178,8 @@ class MetricsRegistry:
     def import_mapping(self, namespace: str, values: Mapping[str, Number]) -> None:
         """Bulk-register ``namespace/key`` gauges from a plain mapping.
 
-        Used by the harness to pull end-of-run tallies (engine counters,
-        fault stats, cache stats) into the registry in their historical
-        order.
+        Used by the harness to pull end-of-run tallies (fault stats,
+        gateway counters) into the registry in their historical order.
         """
         for key, value in values.items():
             self.gauge(f"{namespace}/{key}").set(float(value))
@@ -208,12 +208,11 @@ class MetricsRegistry:
     def legacy_extras(self) -> Dict[str, float]:
         """The compatibility shim: scalars under the historical keys.
 
-        ``engine/x`` → ``engine_x``, ``fault/x`` → ``fault_x``,
-        ``config_cache/x`` → ``config_cache_x``, and the runtime's own
-        ``bless/x`` metrics drop their prefix (→ ``x``), exactly as the
-        pre-registry harness wrote them.  Histograms are registry-only:
-        they did not exist before the registry, so adding them to
-        ``extras`` would churn the golden schemas.
+        ``fault/x`` → ``fault_x``, ``slo/x`` → ``slo_x``, and the
+        runtime's own ``bless/x`` metrics drop their prefix (→ ``x``),
+        exactly as the pre-registry harness wrote them.  Histograms are
+        registry-only: they did not exist before the registry, so adding
+        them to ``extras`` would churn the golden schemas.
         """
         out: Dict[str, float] = {}
         for name, metric in self._metrics.items():

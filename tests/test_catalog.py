@@ -231,36 +231,6 @@ class TestRecordRoundTrip:
         assert metrics["completed"] == 3.0
         assert metrics["throughput_qps"] == result.throughput_qps()
 
-    def test_result_metrics_carry_engine_epoch_counters(self):
-        # A real serve under the default (batched) engine must land the
-        # epoch-batching counters in the catalog row, so perf forensics
-        # ("how many kernels advanced per epoch?") are one
-        # ``repro results query`` away.
-        from repro.apps.models import inference_app
-        from repro.core import BlessRuntime
-        from repro.workloads.suite import bind_load
-
-        apps = [
-            inference_app("R50").with_quota(0.5, app_id="app1"),
-            inference_app("VGG").with_quota(0.5, app_id="app2"),
-        ]
-        result = BlessRuntime().serve(bind_load(apps, "A", requests=1))
-        metrics = result_metrics(result)
-        for key in (
-            "engine_events_processed",
-            "engine_rebalances",
-            "engine_epoch_batches",
-            "engine_epoch_kernels_advanced",
-            "engine_epoch_max_batch",
-        ):
-            assert key in metrics, key
-        assert metrics["engine_epoch_batches"] > 0.0
-        assert (
-            metrics["engine_epoch_kernels_advanced"]
-            >= metrics["engine_epoch_batches"]
-        )
-
-
     def test_result_metrics_derive_slo_headlines(self):
         # A gateway-attached run gets the two derived serving-paper
         # headlines; attainment counts gate/fault sheds against the

@@ -25,23 +25,9 @@ from repro.gpusim.kernel import KernelSpec
 from repro.metrics.stats import RequestRecord, ServingResult
 from repro.workloads.suite import bind_load
 
+from .conftest import result_fingerprint
+
 GOLDEN = Path(__file__).parent / "golden" / "cluster_smoke.json"
-
-
-def fingerprint(result):
-    """Everything observable about a ServingResult, fully ordered.
-
-    ``request_id`` is excluded: it comes from a process-global counter,
-    so only its relative order (already captured by record order) is
-    meaningful across serial and pool-worker runs.
-    """
-    return (
-        result.system,
-        result.makespan_us,
-        result.utilization,
-        tuple((r.app_id, r.arrival, r.finish) for r in result.records),
-        tuple(sorted(result.extras.items())),
-    )
 
 
 def app(app_id, quota, memory_mb=800, model="R50"):
@@ -192,7 +178,7 @@ class TestController:
         bindings = bind_load(apps, "B", requests=3)
         serial = ClusterController(num_gpus=2).serve(bindings, jobs=1)
         parallel = ClusterController(num_gpus=2).serve(bindings, jobs=2)
-        assert fingerprint(serial.merged) == fingerprint(parallel.merged)
+        assert result_fingerprint(serial.merged) == result_fingerprint(parallel.merged)
         assert serial.placements == parallel.placements
 
     @settings(max_examples=4, deadline=None)
@@ -212,7 +198,7 @@ class TestController:
         bindings = bind_load(apps, "B", requests=requests)
         serial = ClusterController(num_gpus=num_gpus).serve(bindings, jobs=1)
         parallel = ClusterController(num_gpus=num_gpus).serve(bindings, jobs=2)
-        assert fingerprint(serial.merged) == fingerprint(parallel.merged)
+        assert result_fingerprint(serial.merged) == result_fingerprint(parallel.merged)
 
     def test_tracer_collects_cluster_and_gpu_streams(self):
         apps = [app("a", 1.0), app("b", 1.0)]
@@ -252,11 +238,21 @@ class TestServingResultMerge:
         merged = ServingResult.merge([a, b], num_slots=2)
         assert merged.extras["fault_shed_requests"] == 3.0
 
-    def test_hit_rate_recomputed_not_summed(self):
-        a = self.res("a", 100.0, 0.5, extras={"cache_hits": 9.0, "cache_misses": 1.0, "cache_hit_rate": 0.9})
-        b = self.res("b", 100.0, 0.5, extras={"cache_hits": 0.0, "cache_misses": 10.0, "cache_hit_rate": 0.0})
-        merged = ServingResult.merge([a, b], num_slots=2)
-        assert merged.extras["cache_hit_rate"] == pytest.approx(0.45)
+    def test_merged_kernels_per_squad_is_a_weighted_mean(self):
+        # Extras hold the count (squad_kernels), not the ratio, so the
+        # merged ratio lands between the per-GPU ratios instead of
+        # summing them.
+        apps = [app("a", 0.6), app("b", 0.6), app("c", 0.4)]
+        result = ClusterController(num_gpus=2).serve(
+            bind_load(apps, "B", requests=3)
+        )
+        ratios = [
+            r.extras["squad_kernels"] / r.extras["squads"]
+            for r in result.per_gpu.values()
+        ]
+        assert len(ratios) >= 2
+        merged = result.merged.extras
+        assert min(ratios) <= merged["squad_kernels"] / merged["squads"] <= max(ratios)
 
     def test_num_slots_counts_idle_capacity(self):
         a = self.res("a", 100.0, 1.0)
@@ -406,7 +402,7 @@ class TestOnlineController:
         )
         serial = OnlineClusterController(num_gpus=2).serve(sched, jobs=1)
         parallel = OnlineClusterController(num_gpus=2).serve(sched, jobs=2)
-        assert fingerprint(serial.merged) == fingerprint(parallel.merged)
+        assert result_fingerprint(serial.merged) == result_fingerprint(parallel.merged)
 
     def test_online_trace_events(self):
         controller = OnlineClusterController(

@@ -280,11 +280,6 @@ class TestCacheStats:
         assert stats.lookups == 4
         assert stats.hit_rate == pytest.approx(0.75)
         assert CacheStats().hit_rate == 0.0
-        merged = stats.merge(CacheStats(hits=1, misses=3, evictions=2))
-        assert merged.hits == 4 and merged.misses == 4
-        assert merged.evictions == 2
-        flat = merged.as_dict(prefix="config_cache_")
-        assert flat["config_cache_hit_rate"] == pytest.approx(0.5)
 
     def test_runtime_reports_hit_rate(self):
         apps = [
@@ -292,13 +287,10 @@ class TestCacheStats:
             build_app("b", [40.0] * 6, [1.0] * 6),
         ]
         runtime = BlessRuntime()
-        result = runtime.serve(bind_closed_loop(apps, factor=1.0, requests=4))
-        assert "config_cache_hit_rate" in result.extras
-        lookups = (
-            result.extras["config_cache_hits"]
-            + result.extras["config_cache_misses"]
-        )
-        assert lookups > 0
+        runtime.serve(bind_closed_loop(apps, factor=1.0, requests=4))
+        stats = runtime.determiner.cache_stats
+        assert stats.lookups > 0
         # Closed-loop requests replay the same kernel windows: the
         # steady state must be served from the cache.
-        assert result.extras["config_cache_hits"] > 0
+        assert stats.hits > 0
+        assert 0.0 < stats.hit_rate < 1.0

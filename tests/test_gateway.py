@@ -11,7 +11,6 @@ mode.
 """
 
 import dataclasses
-import json
 from functools import partial
 
 import pytest
@@ -39,34 +38,7 @@ from repro.workloads.suite import (
     symmetric_pair,
 )
 
-
-def fingerprint(result, semantic_only=False):
-    """Everything that must be byte-identical across runs.
-
-    request_id is excluded: it comes from a process-global allocator,
-    so absolute ids shift when other simulations ran first in the same
-    process (relative order is still covered via record order).
-    ``semantic_only`` additionally drops the ``engine_*`` diagnostics,
-    which legitimately differ across engine modes (a batched epoch
-    counts rebalances differently from a scalar sweep) while every
-    simulated observable stays identical.
-    """
-    extras = result.extras
-    if semantic_only:
-        extras = {
-            k: v for k, v in extras.items() if not k.startswith("engine_")
-        }
-    return json.dumps(
-        {
-            "records": [
-                (r.app_id, r.arrival, r.finish) for r in result.records
-            ],
-            "extras": extras,
-            "makespan": result.makespan_us,
-            "utilization": result.utilization,
-        },
-        sort_keys=True,
-    )
+from .conftest import result_fingerprint
 
 
 def lc_be_spec(apps, **kwargs):
@@ -251,7 +223,7 @@ class TestServingWithGateway:
     def test_gateway_run_deterministic(self):
         first, _ = self.serve_bless()
         second, _ = self.serve_bless()
-        assert fingerprint(first) == fingerprint(second)
+        assert result_fingerprint(first) == result_fingerprint(second)
 
     def test_preemption_fires_and_nothing_is_lost(self):
         lc_app = inference_app("R50").with_quota(0.5, app_id="R50-lc")
@@ -327,7 +299,7 @@ class TestServingWithGateway:
         flag_off = BlessRuntime(
             config=dataclasses.replace(DEFAULT_CONFIG, slo_aware=False)
         ).serve(bind_load(apps, "A", requests=6))
-        assert fingerprint(base) == fingerprint(flag_off)
+        assert result_fingerprint(base) == result_fingerprint(flag_off)
 
 
 class TestCompositeBaselinesWithGateway:
@@ -347,7 +319,5 @@ class TestNoGatewayByteIdentity:
         reference = BlessRuntime().serve(bind_load(apps, "A", requests=6))
         monkeypatch.setenv("REPRO_ENGINE_MODE", engine_mode)
         result = BlessRuntime().serve(bind_load(apps, "A", requests=6))
-        assert fingerprint(result, semantic_only=True) == fingerprint(
-            reference, semantic_only=True
-        )
+        assert result_fingerprint(result) == result_fingerprint(reference)
         assert not any(k.startswith("slo_") for k in result.extras)

@@ -108,7 +108,8 @@ class TestObservability:
         )
         assert result.extras["squads"] >= 1
         assert result.extras["spatial_squads"] <= result.extras["squads"]
-        assert 0 < result.extras["kernels_per_squad"] <= 50 + 25  # graph slack
+        per_squad = result.extras["squad_kernels"] / result.extras["squads"]
+        assert 0 < per_squad <= 50 + 25  # graph slack
 
 
 class TestDegenerateWorkloads:

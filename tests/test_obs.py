@@ -99,23 +99,20 @@ class TestRegistry:
 
     def test_legacy_shim_mapping(self):
         reg = MetricsRegistry()
-        reg.gauge("engine/events_processed").set(7)
+        reg.gauge("slo/arrived_best_effort").set(7)
         reg.gauge("fault/shed_requests").set(1)
-        reg.gauge("config_cache/hits").set(3)
         reg.gauge("bless/squads").set(9)
         reg.histogram("latency/request_us").observe(1.0)
         legacy = reg.legacy_extras()
         assert legacy == {
-            "engine_events_processed": 7.0,
+            "slo_arrived_best_effort": 7.0,
             "fault_shed_requests": 1.0,
-            "config_cache_hits": 3.0,
             "squads": 9.0,
         }
         # Registration order is preserved (extras schema stability).
         assert list(legacy) == [
-            "engine_events_processed",
+            "slo_arrived_best_effort",
             "fault_shed_requests",
-            "config_cache_hits",
             "squads",
         ]
 
@@ -139,24 +136,11 @@ class TestExtrasCompatibility:
         assert traced.extras == untraced.extras
 
     def test_extras_schema_pinned(self):
-        # The exact historical key order of a BLESS fault run, as
-        # written before the registry existed.  The shim must reproduce
-        # it byte for byte — this is what keeps golden files stable.
+        # The exact key order of a BLESS fault run: simulated outcomes
+        # only, fault accounting first, then the runtime's counts.  Host
+        # counters (engine, decision cache) stay off the result.
         system, result = serve_traced(trace=False)
         assert list(result.extras) == [
-            "engine_events_processed",
-            "engine_rebalances",
-            "engine_rebalances_skipped",
-            "engine_rebalance_cache_hits",
-            "engine_epoch_batches",
-            "engine_epoch_kernels_advanced",
-            "engine_epoch_max_batch",
-            "engine_heap_compactions",
-            "engine_peak_heap_size",
-            "engine_gap_events_superseded",
-            "engine_kernels_failed",
-            "engine_kernels_retried",
-            "engine_kernels_killed",
             "fault_slowdown_spikes",
             "fault_transient_retries",
             "fault_permanent_failures",
@@ -179,18 +163,13 @@ class TestExtrasCompatibility:
             "context_evictions",
             "oom_fallbacks",
             "profile_stale",
-            "kernels_per_squad",
-            "config_cache_hits",
-            "config_cache_misses",
-            "config_cache_evictions",
-            "config_cache_invalidations",
-            "config_cache_hit_rate",
+            "squad_kernels",
         ]
         # And the registry's full snapshot carries the same scalars
         # under their namespaced names (histograms are registry-only).
         snapshot = system.obs.registry.snapshot()
-        assert snapshot["engine/events_processed"] == (
-            result.extras["engine_events_processed"]
+        assert snapshot["fault/transient_retries"] == (
+            result.extras["fault_transient_retries"]
         )
         assert snapshot["bless/squads"] == result.extras["squads"]
         assert "latency/request_us/count" in snapshot

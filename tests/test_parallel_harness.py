@@ -28,23 +28,9 @@ from repro.experiments.common import (
 )
 from repro.workloads.suite import bind_load
 
+from .conftest import result_fingerprint
+
 GOLDEN = Path(__file__).parent / "golden" / "fig13_inference_small.json"
-
-
-def result_fingerprint(result):
-    """Everything observable about a ServingResult, fully ordered.
-
-    ``request_id`` is excluded: it comes from a process-global counter,
-    so only its relative order (already captured by record order) is
-    meaningful across runs.
-    """
-    return (
-        result.system,
-        result.makespan_us,
-        result.utilization,
-        tuple((r.app_id, r.arrival, r.finish) for r in result.records),
-        tuple(sorted(result.extras.items())),
-    )
 
 
 class TestResolveJobs:
